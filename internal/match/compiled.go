@@ -1,6 +1,8 @@
 package match
 
 import (
+	"slices"
+
 	"repro/internal/compat"
 	"repro/internal/pattern"
 )
@@ -118,16 +120,14 @@ func (cp *Compiled) Match(seq []pattern.Symbol) float64 {
 }
 
 // appendWindows appends the start offset and full product of every window of
-// seq whose product is non-zero, and returns the updated slices plus the best
-// window product (the sequence's match). Unlike Match it applies no
-// best-so-far cutoff: the incremental kernel needs every surviving window's
-// exact product, because a right-extension can promote any of them to the new
+// seq whose product is non-zero. Unlike Match it applies no best-so-far
+// cutoff: the incremental kernel needs every surviving window's exact
+// product, because a right-extension can promote any of them to the new
 // maximum. Products are accumulated left to right over the non-eternal
 // positions, the same order Match and Sequence use, so the values are
 // bit-identical to theirs.
-func (cp *Compiled) appendWindows(seq []pattern.Symbol, starts []int32, prods []float64) ([]int32, []float64, float64) {
+func (cp *Compiled) appendWindows(seq []pattern.Symbol, starts []int32, prods []float64) ([]int32, []float64) {
 	l := cp.length
-	best := 0.0
 	for i := 0; i+l <= len(seq); i++ {
 		if !cp.firstOK[seq[i]] {
 			continue
@@ -139,35 +139,41 @@ func (cp *Compiled) appendWindows(seq []pattern.Symbol, starts []int32, prods []
 				break
 			}
 		}
-		if v == 0 {
-			continue
-		}
-		starts = append(starts, int32(i))
-		prods = append(prods, v)
-		if v > best {
-			best = v
+		if v != 0 {
+			starts = append(starts, int32(i))
+			prods = append(prods, v)
 		}
 	}
-	return starts, prods, best
+	return starts, prods
 }
 
 // appendProds is appendWindows for all-positive matrices, where every window
 // survives: only the products are appended — the window starts are the
-// implicit ramp 0,1,2,… — along with the best product over the sequence.
-func (cp *Compiled) appendProds(seq []pattern.Symbol, prods []float64) ([]float64, float64) {
-	l := cp.length
-	best := 0.0
-	for i := 0; i+l <= len(seq); i++ {
-		v := 1.0
-		for j, off := range cp.offsets {
-			v *= cp.rows[j][seq[i+off]]
+// implicit ramp 0,1,2,…. The products are filled one pattern position at a
+// time across all windows, a streaming loop per position that performs, per
+// window, the same left-to-right multiplications as Match (the leading 1.0
+// factor is exact, so the first position is a plain copy).
+func (cp *Compiled) appendProds(seq []pattern.Symbol, prods []float64) []float64 {
+	nw := len(seq) - cp.length + 1
+	if nw <= 0 {
+		return prods
+	}
+	n := len(prods)
+	prods = slices.Grow(prods, nw)[:n+nw]
+	dst := prods[n:]
+	for j, off := range cp.offsets {
+		row, obs := cp.rows[j], seq[off:off+nw]
+		if j == 0 {
+			for i, o := range obs {
+				dst[i] = row[o]
+			}
+			continue
 		}
-		prods = append(prods, v)
-		if v > best {
-			best = v
+		for i, o := range obs {
+			dst[i] *= row[o]
 		}
 	}
-	return prods, best
+	return prods
 }
 
 // CompiledSet matches a batch of patterns against sequences; it is the

@@ -16,21 +16,36 @@
 // a small fraction of candidates turn out frequent enough to generate
 // children, the spine is an order of magnitude smaller than caching every
 // candidate would be — most of the kernel's work is the store-free valuation
-// walk. A parent whose ancestor block is missing (first levels, budget
-// evictions, orphans) is rebuilt from scratch in O(l) per window and the
-// lattice heals from there.
+// walk. A parent whose ancestor block is missing (first levels, a retired
+// spine, orphans) is rebuilt from scratch in O(l) per window and the lattice
+// heals from there.
 //
-// Two further structural wins ride on the cache:
+// The budget serves the live level first: when this level's parents and the
+// previous spine do not fit together, the previous spine is retired before
+// admission (its chunks feed this level's builds, which then rebuild from
+// scratch once per parent) rather than denying parents their blocks.
+// Parents are denied only when this level's parents alone exceed the budget
+// (those admitted first, in first-seen order, keep their blocks), and only
+// a denied parent's children fall back to per-pattern compiled matching —
+// per kid, per sequence, O(l) per window, the one path that costs far more
+// than a rebuild.
+//
+// Three further structural wins ride on the cache:
 //
 //   - Sibling amortization: every child of the same (parent, total length)
 //     pair shares one walk of the parent's windows — the window bookkeeping
 //     (bounds check, observed-symbol gather) is paid once per parent group,
 //     not once per child.
+//   - Class-max valuation: for wide sibling groups that walk folds each
+//     sequence's windows into the maximum parent product per observed symbol
+//     at the extension offset, and each child's per-sequence best becomes
+//     max_o fl(classMax[o] × row[o]) — O(classes) per child instead of
+//     O(windows), and the same float64 (see siblings.classes).
 //   - Sample sharding: the sample is split into fixed-size contiguous shards
 //     processed by a worker pool. Each (parent, shard) spine block and
 //     partial sum is written by exactly one worker, and partial sums are
 //     merged in ascending shard order, so results are bit-identical for
-//     every worker count.
+//     every worker count and every budget.
 //
 // Because a child's product is the parent's prefix product times one new
 // factor — the same left-to-right association Sequence and Compiled.Match
@@ -67,13 +82,13 @@ const entryOverhead = 96
 type IncrementalOptions struct {
 	// Workers is the number of shard workers (<= 1: sequential).
 	Workers int
-	// Budget bounds the bytes of cached prefix products, counting both the
-	// previous level's spine and the one under construction. 0 selects
-	// DefaultCacheBudget; negative means unlimited. Admission is decided
-	// up front from a per-parent size bound, so the kernel never holds more
-	// than the budget; parents denied admission fall back to
-	// compiled-matcher recomputation — the budget trades speed for memory,
-	// never correctness.
+	// Budget bounds the bytes of cached prefix products, counting the
+	// previous level's spine while it is kept alongside the one under
+	// construction. 0 selects DefaultCacheBudget; negative means unlimited.
+	// Admission is decided up front from a per-parent size bound, so the
+	// kernel never holds more than the budget; the previous spine is retired
+	// first, and parents that still do not fit fall back to compiled-matcher
+	// recomputation — the budget trades speed for memory, never correctness.
 	Budget int64
 	// ShardSize overrides the sequences-per-shard split (<= 0: default 32).
 	// Changing it reassociates the float64 sum merge, so it is fixed for a
@@ -89,6 +104,9 @@ type LevelStats struct {
 	// Windows is the number of spine windows cached for the next level;
 	// Bytes the spine memory held when the level closed.
 	Windows, Bytes int64
+	// Retired reports that the previous spine was dropped at setup to make
+	// room for this level's parents.
+	Retired bool
 	// Evicted counts parents denied a spine block by the memory budget;
 	// Fallback reports that the budget forced at least one denial.
 	Evicted  int64
@@ -98,29 +116,10 @@ type LevelStats struct {
 // IncrementalStats accumulates LevelStats over a kernel's lifetime.
 type IncrementalStats struct {
 	Extended, Scratch, Windows, Evicted, Fallbacks int64
-	// PeakBytes is the high-water mark of cache memory, counting the closing
-	// and the in-construction spine together.
+	// PeakBytes is the high-water mark of cache memory: the spine built for
+	// a level plus the previous spine when it was kept.
 	PeakBytes int64
 }
-
-// shardWindows is one parent's window products over one shard's sequences,
-// CSR-indexed: sequence i of the shard owns starts[offs[i]:offs[i+1]]
-// (ascending) and the matching prods. In ramp mode (all-positive matrices —
-// every window's product is non-zero) starts is nil: the window starts are
-// implicitly 0,1,2,… per sequence.
-type shardWindows struct {
-	offs   []int32
-	starts []int32
-	prods  []float64
-}
-
-// bytes charges the block's backing arrays (by capacity — what the process
-// actually holds) against the budget.
-func (sw *shardWindows) bytes() int64 {
-	return int64(cap(sw.offs))*4 + int64(cap(sw.starts))*4 + int64(cap(sw.prods))*8
-}
-
-func (sw *shardWindows) windows() int64 { return int64(len(sw.prods)) }
 
 // prefixEntry is one parent pattern's spine: its window blocks across all
 // shards plus the build plan resolved at setup — src/row extend the
@@ -128,12 +127,13 @@ func (sw *shardWindows) windows() int64 { return int64(len(sw.prods)) }
 // grandparent block survives. dropped parents (budget denials) get no blocks
 // and their children score through per-pattern compiled matching.
 type prefixEntry struct {
-	patLen  int
+	pat     pattern.Pattern
+	bound   int64 // spineBytesBound(len(pat))
 	dropped bool
 	src     *prefixEntry
 	row     []float64
 	cp      *Compiled
-	shards  []shardWindows
+	shards  []windowSet
 }
 
 // Incremental is the kernel. Create with NewIncremental, feed it successive
@@ -157,13 +157,13 @@ type Incremental struct {
 	winBound  map[int]int64 // pattern length -> total windows over the sample
 	stats     IncrementalStats
 	// Spine blocks are sub-sliced out of big chunks whose lifetime is the
-	// level's: all of a level's blocks die together at the rotation one
-	// level later, so whole chunks recycle deterministically (no GC-driven
-	// pool misses) and recycled memory is handed out un-zeroed — every slot
-	// of a block is written before the block is read, so the make() clearing
-	// this replaces was pure waste. poolMu guards the chunk lists; curF/curI
-	// back the level being built, prevF/prevI the closed level serving as
-	// parents, freeF/freeI are reusable.
+	// level's: all of a level's blocks die together when the spine is
+	// retired, so whole chunks recycle deterministically (no GC-driven pool
+	// misses) and recycled memory is handed out un-zeroed — every slot of a
+	// block is written before the block is read, so the make() clearing this
+	// replaces was pure waste. poolMu guards the chunk lists; curF/curI back
+	// the level being built, prevF/prevI the closed level serving as parents,
+	// freeF/freeI are reusable.
 	poolMu      sync.Mutex
 	freeF       [][]float64
 	freeI       [][]int32
@@ -224,15 +224,15 @@ func (inc *Incremental) chunkI(n int) []int32 {
 	return c
 }
 
-// rotateChunks closes the level: the chunks backing the evicted spine become
-// free, and the just-built spine's chunks move to the parent position.
-func (inc *Incremental) rotateChunks() {
+// retire drops the previous spine: its chunks become free for the next
+// builds and its blocks unreachable.
+func (inc *Incremental) retire() {
 	inc.poolMu.Lock()
 	inc.freeF = append(inc.freeF, inc.prevF...)
 	inc.freeI = append(inc.freeI, inc.prevI...)
-	inc.prevF, inc.prevI = inc.curF, inc.curI
-	inc.curF, inc.curI = nil, nil
+	inc.prevF, inc.prevI = nil, nil
 	inc.poolMu.Unlock()
+	inc.prev, inc.prevBytes = nil, 0
 }
 
 // arenas is one worker's bump allocator over the kernel's chunks.
@@ -314,45 +314,28 @@ func (inc *Incremental) Stats() IncrementalStats { return inc.stats }
 // Release drops the cache. The kernel stays usable — the next ValueLevel
 // simply finds no parents — but callers should treat it as finished.
 func (inc *Incremental) Release() {
-	inc.prev = nil
-	inc.prevBytes = 0
+	inc.retire()
 	inc.poolMu.Lock()
 	inc.freeF, inc.freeI = nil, nil
 	inc.curF, inc.curI = nil, nil
-	inc.prevF, inc.prevI = nil, nil
 	inc.poolMu.Unlock()
 }
 
-// windowsAtLen returns the total number of length-l windows over the sample,
-// the exact size of a ramp-mode spine block and an upper bound on a sparse
-// one (survivors are a subset).
-func (inc *Incremental) windowsAtLen(l int) int64 {
-	if n, ok := inc.winBound[l]; ok {
-		return n
-	}
-	var n int64
-	for _, seq := range inc.sample {
-		if w := len(seq) - l + 1; w > 0 {
-			n += int64(w)
-		}
-	}
-	inc.winBound[l] = n
-	return n
-}
-
 // spineBytesBound is the admission bound for one parent of length l: the
-// worst-case bytes its blocks can hold across all shards. Actual usage never
-// exceeds it (sparse blocks are compacted or bound-sized), so admitting by
-// the bound keeps the spine under budget without mid-level eviction — and
-// admission decided serially at setup is what keeps the cached/fallback
-// split, and thus every block's contents, independent of worker scheduling.
+// worst-case bytes its blocks can hold across all shards (the total number
+// of length-l windows over the sample, the exact size of a ramp-mode block
+// and an upper bound on a sparse one). Actual usage never exceeds it (sparse
+// blocks are compacted or bound-sized), so admitting by the bound keeps the
+// spine under budget without mid-level eviction — and admission decided
+// serially at setup is what keeps the cached/fallback split, and thus every
+// block's contents, independent of worker scheduling.
 func (inc *Incremental) spineBytesBound(l int) int64 {
-	per := int64(8) // prods
-	if !inc.ramp {
-		per += 4 // starts
+	n, ok := inc.winBound[l]
+	if !ok {
+		n = countWindows(inc.sample, l)
+		inc.winBound[l] = n
 	}
-	offs := int64(len(inc.sample)+len(inc.shards)) * 4
-	return inc.windowsAtLen(l)*per + offs + entryOverhead
+	return windowBytesBound(n, inc.ramp, len(inc.sample), len(inc.shards))
 }
 
 // group collects the candidates extending one (parent, total length) pair:
@@ -361,106 +344,121 @@ func (inc *Incremental) spineBytesBound(l int) int64 {
 type group struct {
 	pe   *prefixEntry
 	qLen int
-	kids []int
+	kids []int       // candidate indices
+	rows [][]float64 // each kid's extension row
 }
 
 // ValueLevel scores one lattice level and rotates the spine: blocks are
 // built for the parents this level references (from the previous spine, or
 // from scratch when it has no block), the candidates are valued against
-// them without storing anything, and the previous spine is evicted when the
-// call returns. The returned values equal the naive sample kernel's
-// (CompileSet/Observe/Matches) for every candidate; see the package comment
-// for the exact determinism guarantees.
+// them without storing anything, and the previous spine is retired when the
+// call returns (or at setup, when the budget needs its room). The returned
+// values equal the naive sample kernel's (CompileSet/Observe/Matches) for
+// every candidate; see the package comment for the exact determinism
+// guarantees.
 func (inc *Incremental) ValueLevel(ps []pattern.Pattern) ([]float64, LevelStats, error) {
 	out := make([]float64, len(ps))
 	var ls LevelStats
 	if len(ps) == 0 {
-		inc.rotateChunks() // retire the unreferenced spine's chunks
-		inc.prev, inc.prevBytes = nil, 0
+		inc.retire() // nothing references the spine any more
 		return out, ls, nil
 	}
 	numShards := len(inc.shards)
 
 	// Serial setup: resolve each candidate's generating parent (last symbol
-	// dropped, trailing eternals trimmed), admit parents against the budget,
-	// and plan each admitted parent's build — extend the grandparent's spine
-	// block, or compile the parent for a scratch rebuild. Every candidate
-	// also gets a compiled matcher: it is the valuation path for kids of
-	// denied parents and for parentless candidates. All rowCache traffic
-	// happens here, before the workers start.
-	rows := make([][]float64, len(ps))
-	scratch := make([]*Compiled, len(ps))
-	direct := make([]bool, len(ps))
+	// dropped, trailing eternals trimmed) and total the parents' size bounds.
+	parentOf := make([]*prefixEntry, len(ps))
 	parents := make(map[string]*prefixEntry)
-	var builds []*prefixEntry
-	var groups []*group
-	type groupKey struct {
-		parent string
-		qLen   int
-	}
-	groupIdx := make(map[groupKey]int)
-	spineBound := inc.prevBytes
-	maxKids := 1
+	var order []*prefixEntry // distinct parents, first-seen order
+	var need int64
 	for i, p := range ps {
 		if err := p.Validate(); err != nil {
 			return nil, ls, err
 		}
-		cp, err := compileWith(inc.rc, inc.m, p)
-		if err != nil {
-			return nil, ls, err
-		}
-		scratch[i] = cp
 		parent := pattern.Trim(p[: len(p)-1 : len(p)-1])
 		if parent == nil {
-			direct[i] = true
-			ls.Scratch++
 			continue
 		}
-		parentKey := parent.Key()
-		pe, ok := parents[parentKey]
+		key := parent.Key()
+		pe, ok := parents[key]
 		if !ok {
-			pe = &prefixEntry{patLen: len(parent)}
-			if bound := inc.spineBytesBound(len(parent)); inc.budget >= 0 && spineBound+bound > inc.budget {
-				pe.dropped = true
-				ls.Evicted++
-				ls.Fallback = true
-			} else {
-				spineBound += bound
-				pe.shards = make([]shardWindows, numShards)
-				if g := pattern.Trim(parent[: len(parent)-1 : len(parent)-1]); g != nil {
-					if ge := inc.prev[g.Key()]; ge != nil && !ge.dropped {
-						pe.src = ge
-						pe.row = inc.rc.row(parent[len(parent)-1])
-					}
-				}
-				if pe.src == nil {
-					pcp, err := compileWith(inc.rc, inc.m, parent)
-					if err != nil {
-						return nil, ls, err
-					}
-					pe.cp = pcp
-				}
-				builds = append(builds, pe)
+			pe = &prefixEntry{pat: parent, bound: inc.spineBytesBound(len(parent))}
+			parents[key] = pe
+			order = append(order, pe)
+			need += pe.bound
+		}
+		parentOf[i] = pe
+	}
+
+	// Admission serves the live level first: if this level's parents and the
+	// previous spine do not fit together, the previous spine goes and this
+	// level's parents rebuild from scratch — O(l) per window once per
+	// parent, where a denial costs that per child. Then admit in first-seen
+	// order and plan each build: extend the grandparent's block, or compile
+	// the parent for a scratch rebuild.
+	if inc.budget >= 0 && inc.prevBytes > 0 && inc.prevBytes+need > inc.budget {
+		inc.retire()
+		ls.Retired = true
+	}
+	held := inc.prevBytes
+	var builds []*prefixEntry
+	for _, pe := range order {
+		if inc.budget >= 0 && held+pe.bound > inc.budget {
+			pe.dropped = true
+			ls.Evicted++
+			ls.Fallback = true
+			continue
+		}
+		held += pe.bound
+		pe.shards = make([]windowSet, numShards)
+		parent := pe.pat
+		if g := pattern.Trim(parent[: len(parent)-1 : len(parent)-1]); g != nil {
+			if ge := inc.prev[g.Key()]; ge != nil {
+				pe.src = ge
+				pe.row = inc.rc.row(parent[len(parent)-1])
 			}
-			parents[parentKey] = pe
 		}
-		if pe.dropped {
-			direct[i] = true
+		if pe.src == nil {
+			pcp, err := compileWith(inc.rc, inc.m, parent)
+			if err != nil {
+				return nil, ls, err
+			}
+			pe.cp = pcp
+		}
+		builds = append(builds, pe)
+	}
+
+	// Group the kids of admitted parents by (parent, total length); every
+	// other candidate — parentless, or a kid of a denied parent — gets a
+	// compiled matcher. All rowCache traffic happens here, before the
+	// workers start.
+	scratch := make([]*Compiled, len(ps))
+	var groups []*group
+	type groupKey struct {
+		pe   *prefixEntry
+		qLen int
+	}
+	groupIdx := make(map[groupKey]*group)
+	for i, p := range ps {
+		pe := parentOf[i]
+		if pe == nil || pe.dropped {
+			cp, err := compileWith(inc.rc, inc.m, p)
+			if err != nil {
+				return nil, ls, err
+			}
+			scratch[i] = cp
 			ls.Scratch++
 			continue
 		}
-		rows[i] = inc.rc.row(p[len(p)-1])
-		gk := groupKey{parentKey, len(p)}
-		gi, ok := groupIdx[gk]
-		if !ok {
-			gi = len(groups)
-			groupIdx[gk] = gi
-			groups = append(groups, &group{pe: pe, qLen: len(p)})
+		gk := groupKey{pe, len(p)}
+		g := groupIdx[gk]
+		if g == nil {
+			g = &group{pe: pe, qLen: len(p)}
+			groupIdx[gk] = g
+			groups = append(groups, g)
 		}
-		groups[gi].kids = append(groups[gi].kids, i)
-		if len(groups[gi].kids) > maxKids {
-			maxKids = len(groups[gi].kids)
-		}
+		g.kids = append(g.kids, i)
+		g.rows = append(g.rows, inc.rc.row(p[len(p)-1]))
 		ls.Extended++
 	}
 
@@ -468,23 +466,19 @@ func (inc *Incremental) ValueLevel(ps []pattern.Pattern) ([]float64, LevelStats,
 	// spine block and every partials[s] slice has exactly one writer.
 	partials := make([][]float64, numShards)
 	var cursor atomic.Int64
-	workers := inc.workers
-	if workers > numShards {
-		workers = numShards
-	}
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for w := 0; w < min(inc.workers, numShards); w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			best := make([]float64, maxKids)
+			sb := newSiblings(inc.m)
 			a := &arenas{inc: inc}
 			for {
 				s := int(cursor.Add(1)) - 1
 				if s >= numShards {
 					return
 				}
-				partials[s] = inc.processShard(s, ps, groups, builds, scratch, direct, rows, best, a)
+				partials[s] = inc.processShard(s, len(ps), groups, builds, scratch, sb, a)
 			}
 		}()
 	}
@@ -503,26 +497,28 @@ func (inc *Incremental) ValueLevel(ps []pattern.Pattern) ([]float64, LevelStats,
 	}
 
 	// Rotate: the just-built spine serves the next level, the previous one
-	// is evicted. Build plans are cleared so evicted blocks (whose chunks
+	// is retired. Build plans are cleared so retired blocks (whose chunks
 	// recycle) become unreachable.
-	cur := make(map[string]*prefixEntry, len(parents))
+	cur := make(map[string]*prefixEntry, len(builds))
 	var bytes int64
 	for key, e := range parents {
-		e.src, e.row, e.cp = nil, nil, nil
+		e.pat, e.src, e.row, e.cp = nil, nil, nil, nil
 		if e.dropped {
 			continue
 		}
-		var windows int64
 		for s := range e.shards {
-			windows += e.shards[s].windows()
+			ls.Windows += int64(len(e.shards[s].prods))
 			bytes += e.shards[s].bytes()
 		}
 		bytes += entryOverhead
-		ls.Windows += windows
 		cur[key] = e
 	}
 	peak := inc.prevBytes + bytes
-	inc.rotateChunks() // the evicted spine's chunks feed the next build
+	inc.retire()
+	inc.poolMu.Lock()
+	inc.prevF, inc.prevI = inc.curF, inc.curI
+	inc.curF, inc.curI = nil, nil
+	inc.poolMu.Unlock()
 	inc.prev, inc.prevBytes = cur, bytes
 	ls.Bytes = bytes
 
@@ -541,8 +537,8 @@ func (inc *Incremental) ValueLevel(ps []pattern.Pattern) ([]float64, LevelStats,
 
 // processShard builds this shard's spine blocks, values every candidate
 // against them, and returns the shard's partial sums.
-func (inc *Incremental) processShard(s int, ps []pattern.Pattern, groups []*group, builds []*prefixEntry, scratch []*Compiled, direct []bool, rows [][]float64, best []float64, a *arenas) []float64 {
-	part := make([]float64, len(ps))
+func (inc *Incremental) processShard(s, n int, groups []*group, builds []*prefixEntry, scratch []*Compiled, sb *siblings, a *arenas) []float64 {
+	part := make([]float64, n)
 	lo, hi := inc.shards[s][0], inc.shards[s][1]
 
 	for _, pe := range builds {
@@ -552,13 +548,36 @@ func (inc *Incremental) processShard(s int, ps []pattern.Pattern, groups []*grou
 			inc.buildSparseBlock(s, pe, a)
 		}
 	}
-	if inc.ramp {
-		inc.valueRampGroups(s, groups, rows, part)
-	} else {
-		inc.valueSparseGroups(s, groups, rows, best, part)
+	var gpart []float64
+	for _, g := range groups {
+		// Each kid belongs to exactly one group, so summing a group's
+		// per-sequence bests locally and storing them is the same float
+		// sequence as accumulating into part directly.
+		if cap(gpart) < len(g.kids) {
+			gpart = make([]float64, len(g.kids))
+		}
+		gpart = gpart[:len(g.kids)]
+		clear(gpart)
+		pw := &g.pe.shards[s]
+		off := g.qLen - 1
+		for si := lo; si < hi; si++ {
+			seq := inc.sample[si]
+			wlo, whi := pw.clip(si-lo, len(seq), g.qLen, inc.ramp)
+			if whi <= wlo {
+				continue
+			}
+			var starts []int32
+			if !inc.ramp {
+				starts = pw.starts[wlo:whi]
+			}
+			sb.add(gpart, g.rows, pw.prods[wlo:whi], starts, seq, off)
+		}
+		for ci, i := range g.kids {
+			part[i] = gpart[ci]
+		}
 	}
 	for i, cp := range scratch {
-		if !direct[i] {
+		if cp == nil {
 			continue
 		}
 		// Parentless candidates and kids of budget-denied parents: plain
@@ -573,97 +592,70 @@ func (inc *Incremental) processShard(s int, ps []pattern.Pattern, groups []*grou
 
 // buildRampBlock materializes one parent's window products for one shard in
 // ramp mode: extend the grandparent's block by one factor, or rebuild from
-// scratch when none survives. Window counts are fully determined by lengths
-// (every product is non-zero), so block sizes are exact.
+// scratch when none survives. Every product is non-zero, so a block holds
+// exactly one window per start and is allocated to that size.
 func (inc *Incremental) buildRampBlock(s int, pe *prefixEntry, a *arenas) {
 	lo, hi := inc.shards[s][0], inc.shards[s][1]
-	qLen := pe.patLen
-	sw := &pe.shards[s]
+	qLen := len(pe.pat)
 	offs := make([]int32, hi-lo+1)
+	dst := a.prods(int(countWindows(inc.sample[lo:hi], qLen)))
+	n := 0
 	if src := pe.src; src != nil {
 		pw := &src.shards[s]
 		row := pe.row
 		off := qLen - 1
-		dst := a.prods(len(pw.prods))
-		n := 0
 		for si := lo; si < hi; si++ {
 			seq := inc.sample[si]
-			wlo := int(pw.offs[si-lo])
-			wn := int(pw.offs[si-lo+1]) - wlo
 			// The widened window drops the tail starts.
-			if lim := len(seq) - qLen + 1; wn > lim {
-				wn = lim
-			}
-			if wn > 0 {
-				prods := pw.prods[wlo : wlo+wn]
-				obs := seq[off : off+wn] // same length as prods: checks eliminated
-				d := dst[n : n+wn]
+			if wlo, whi := pw.clip(si-lo, len(seq), qLen, true); whi > wlo {
+				prods := pw.prods[wlo:whi]
+				obs := seq[off : off+len(prods)] // same length as prods: checks eliminated
+				d := dst[n : n+len(prods)]
 				for j, p := range prods {
 					d[j] = p * row[obs[j]]
 				}
-				n += wn
+				n += len(prods)
 			}
 			offs[si-lo+1] = int32(n)
 		}
-		sw.prods = dst[:n]
 	} else {
-		total := 0
+		prods := dst[:0]
 		for si := lo; si < hi; si++ {
-			if w := len(inc.sample[si]) - qLen + 1; w > 0 {
-				total += w
-			}
-		}
-		prods := a.prods(total)[:0]
-		for si := lo; si < hi; si++ {
-			prods, _ = pe.cp.appendProds(inc.sample[si], prods)
+			prods = pe.cp.appendProds(inc.sample[si], prods)
 			offs[si-lo+1] = int32(len(prods))
 		}
-		sw.prods = prods
+		n = len(prods)
 	}
-	sw.offs = offs
+	pe.shards[s] = windowSet{offs: offs, prods: dst[:n]}
 }
 
 // buildSparseBlock is buildRampBlock for matrices with zero cells, where
 // windows genuinely die and the surviving subset (starts + prods) must be
-// recorded. Builders are sized to the parent bound (survivors are a subset)
-// and compacted when sparse enough; the bound-sized builders stay in their
-// chunks until the level's chunks recycle.
+// recorded. Builders are sized to the smaller of the grandparent's
+// survivors and the parent's window count, and compacted when sparse
+// enough; the bound-sized builders stay in their chunks until the level's
+// chunks recycle.
 func (inc *Incremental) buildSparseBlock(s int, pe *prefixEntry, a *arenas) {
 	lo, hi := inc.shards[s][0], inc.shards[s][1]
-	qLen := pe.patLen
-	sw := &pe.shards[s]
+	qLen := len(pe.pat)
 	offs := make([]int32, hi-lo+1)
+	bound := int(countWindows(inc.sample[lo:hi], qLen))
 	var kst []int32
 	var kpr []float64
-	n, bound := 0, 0
+	n := 0
 	if src := pe.src; src != nil {
 		pw := &src.shards[s]
 		row := pe.row
-		off := int32(qLen - 1)
-		bound = len(pw.starts)
+		off := qLen - 1
+		bound = min(bound, len(pw.prods))
 		kst = a.starts(bound)
 		kpr = a.prods(bound)
 		for si := lo; si < hi; si++ {
 			seq := inc.sample[si]
-			wlo, whi := pw.offs[si-lo], pw.offs[si-lo+1]
-			limit := int32(len(seq) - qLen)
-			// Starts ascend, so the windows still wide enough for the parent
-			// are a prefix; find its end once instead of testing per window.
-			whiEff := whi
-			if whi > wlo && pw.starts[whi-1] > limit {
-				l, h := wlo, whi
-				for l < h {
-					if mid := (l + h) / 2; pw.starts[mid] > limit {
-						h = mid
-					} else {
-						l = mid + 1
-					}
-				}
-				whiEff = l
-			}
-			for w := wlo; w < whiEff; w++ {
+			wlo, whi := pw.clip(si-lo, len(seq), qLen, false)
+			for w := wlo; w < whi; w++ {
 				st := pw.starts[w]
-				if v := pw.prods[w] * row[seq[st+off]]; v != 0 {
+				if v := pw.prods[w] * row[seq[int(st)+off]]; v != 0 {
 					kst[n] = st
 					kpr[n] = v
 					n++
@@ -672,114 +664,17 @@ func (inc *Incremental) buildSparseBlock(s int, pe *prefixEntry, a *arenas) {
 			offs[si-lo+1] = int32(n)
 		}
 	} else {
-		for si := lo; si < hi; si++ {
-			if w := len(inc.sample[si]) - qLen + 1; w > 0 {
-				bound += w
-			}
-		}
 		starts := a.starts(bound)[:0]
 		prods := a.prods(bound)[:0]
 		for si := lo; si < hi; si++ {
-			starts, prods, _ = pe.cp.appendWindows(inc.sample[si], starts, prods)
+			starts, prods = pe.cp.appendWindows(inc.sample[si], starts, prods)
 			offs[si-lo+1] = int32(len(prods))
 		}
-		kst, kpr, n = starts[:bound:bound], prods[:bound:bound], len(prods)
+		kst, kpr, n = starts, prods, len(prods)
 	}
-	if n*2 < bound {
-		// Compact before the budget accounting sees the block, so it is
-		// charged for what survives, not the reservation.
-		sw.starts = append(make([]int32, 0, n), kst[:n]...)
-		sw.prods = append(make([]float64, 0, n), kpr[:n]...)
-	} else {
-		sw.starts = kst[:n]
-		sw.prods = kpr[:n]
-	}
+	sw := &pe.shards[s]
 	sw.offs = offs
-}
-
-// valueRampGroups scores every cached group's kids against one shard in ramp
-// mode: a branch-free streaming max over the parent's products, storing
-// nothing.
-func (inc *Incremental) valueRampGroups(s int, groups []*group, rows [][]float64, part []float64) {
-	lo, hi := inc.shards[s][0], inc.shards[s][1]
-	for _, g := range groups {
-		pw := &g.pe.shards[s]
-		kids := g.kids
-		krows := make([][]float64, len(kids))
-		for ci, i := range kids {
-			krows[ci] = rows[i]
-		}
-		off := g.qLen - 1
-		for si := lo; si < hi; si++ {
-			seq := inc.sample[si]
-			wlo := int(pw.offs[si-lo])
-			wn := int(pw.offs[si-lo+1]) - wlo
-			if lim := len(seq) - g.qLen + 1; wn > lim {
-				wn = lim
-			}
-			if wn <= 0 {
-				continue
-			}
-			prods := pw.prods[wlo : wlo+wn]
-			obs := seq[off : off+wn] // same length as prods: checks eliminated
-			for ci, i := range kids {
-				row := krows[ci]
-				b := 0.0
-				for j, p := range prods {
-					if v := p * row[obs[j]]; v > b {
-						b = v
-					}
-				}
-				part[i] += b
-			}
-		}
-	}
-}
-
-// valueSparseGroups is valueRampGroups for matrices with zero cells: the
-// surviving windows' recorded starts drive the observed-symbol gather, and
-// the widened-window clip binary-searches the ascending starts.
-func (inc *Incremental) valueSparseGroups(s int, groups []*group, rows [][]float64, best []float64, part []float64) {
-	lo, hi := inc.shards[s][0], inc.shards[s][1]
-	for _, g := range groups {
-		pw := &g.pe.shards[s]
-		kids := g.kids
-		krows := make([][]float64, len(kids))
-		for ci, i := range kids {
-			krows[ci] = rows[i]
-		}
-		off := int32(g.qLen - 1)
-		for si := lo; si < hi; si++ {
-			seq := inc.sample[si]
-			wlo, whi := pw.offs[si-lo], pw.offs[si-lo+1]
-			limit := int32(len(seq) - g.qLen)
-			whiEff := whi
-			if whi > wlo && pw.starts[whi-1] > limit {
-				l, h := wlo, whi
-				for l < h {
-					if mid := (l + h) / 2; pw.starts[mid] > limit {
-						h = mid
-					} else {
-						l = mid + 1
-					}
-				}
-				whiEff = l
-			}
-			for ci := range kids {
-				best[ci] = 0
-			}
-			for w := wlo; w < whiEff; w++ {
-				pprod := pw.prods[w]
-				obs := seq[pw.starts[w]+off]
-				for ci := range kids {
-					if v := pprod * krows[ci][obs]; v > best[ci] {
-						best[ci] = v
-					}
-				}
-			}
-			for ci, i := range kids {
-				part[i] += best[ci]
-			}
-		}
-	}
+	// Compact before the budget accounting sees the block, so it is charged
+	// for what survives, not the reservation.
+	sw.starts, sw.prods = compactWindows(kst[:n], kpr[:n], bound)
 }

@@ -1,7 +1,7 @@
 // Projected sample databases for the depth-first pattern-growth Phase 2
 // engine (internal/growth). A Projection is one pattern's surviving window
 // products over the whole sample — the same per-sequence prefix-product
-// state the incremental level-wise kernel caches per parent (shardWindows),
+// state the incremental level-wise kernel caches per parent (windowSet),
 // lifted out of the level-serial spine so a DFS can hold one block per
 // lattice path instead of one spine per level.
 //
@@ -93,18 +93,7 @@ func (pj *Projector) RowMax(d pattern.Symbol) float64 { return pj.rowMax[d] }
 // this bound, which depends only on the sample and l — never on worker
 // scheduling — so the projected/scratch split is deterministic.
 func (pj *Projector) WindowBytesBound(l int) int64 {
-	per := int64(8) // prods
-	if !pj.ramp {
-		per += 4 // starts
-	}
-	var windows int64
-	for _, seq := range pj.sample {
-		if w := len(seq) - l + 1; w > 0 {
-			windows += int64(w)
-		}
-	}
-	offs := int64(len(pj.sample)+len(pj.shards)) * 4
-	return windows*per + offs + entryOverhead
+	return windowBytesBound(countWindows(pj.sample, l), pj.ramp, len(pj.sample), len(pj.shards))
 }
 
 // Value scores one pattern from scratch: compiled matching per sequence,
@@ -130,27 +119,13 @@ func (pj *Projector) Value(p pattern.Pattern) (float64, error) {
 	return total, nil
 }
 
-// projShard is one shard's surviving windows, CSR-indexed like the
-// incremental kernel's shardWindows: sequence i of the shard owns
-// prods[offs[i]:offs[i+1]] (and the matching starts in sparse mode; in ramp
-// mode starts is nil and window starts are the implicit 0,1,2,… ramp).
-type projShard struct {
-	offs   []int32
-	starts []int32
-	prods  []float64
-}
-
-func (sw *projShard) bytes() int64 {
-	return int64(cap(sw.offs))*4 + int64(cap(sw.starts))*4 + int64(cap(sw.prods))*8
-}
-
 // Projection is one pattern's window products over the whole sample — the
 // projected database its right-extensions are valued against. Immutable
 // after construction.
 type Projection struct {
 	pj     *Projector
 	patLen int
-	shards []projShard
+	shards []windowSet
 	bytes  int64
 }
 
@@ -169,16 +144,16 @@ func (pj *Projector) Build(p pattern.Pattern) (*Projection, error) {
 	if err != nil {
 		return nil, err
 	}
-	pr := &Projection{pj: pj, patLen: len(p), shards: make([]projShard, len(pj.shards))}
+	pr := &Projection{pj: pj, patLen: len(p), shards: make([]windowSet, len(pj.shards))}
 	for s, sh := range pj.shards {
 		lo, hi := sh[0], sh[1]
 		sw := &pr.shards[s]
 		offs := make([]int32, hi-lo+1)
-		bound := pj.shardWindowBound(lo, hi, len(p))
+		bound := int(countWindows(pj.sample[lo:hi], len(p)))
 		if pj.ramp {
 			prods := make([]float64, 0, bound)
 			for si := lo; si < hi; si++ {
-				prods, _ = cp.appendProds(pj.sample[si], prods)
+				prods = cp.appendProds(pj.sample[si], prods)
 				offs[si-lo+1] = int32(len(prods))
 			}
 			sw.prods = prods
@@ -186,7 +161,7 @@ func (pj *Projector) Build(p pattern.Pattern) (*Projection, error) {
 			starts := make([]int32, 0, bound)
 			prods := make([]float64, 0, bound)
 			for si := lo; si < hi; si++ {
-				starts, prods, _ = cp.appendWindows(pj.sample[si], starts, prods)
+				starts, prods = cp.appendWindows(pj.sample[si], starts, prods)
 				offs[si-lo+1] = int32(len(prods))
 			}
 			sw.starts, sw.prods = compactWindows(starts, prods, bound)
@@ -208,48 +183,6 @@ func compactWindows(starts []int32, prods []float64, bound int) ([]int32, []floa
 	return starts, prods
 }
 
-// shardWindowBound counts the windows a length-l pattern can have across
-// sequences [lo, hi) — the per-shard component of WindowBytesBound.
-func (pj *Projector) shardWindowBound(lo, hi, l int) int {
-	bound := 0
-	for si := lo; si < hi; si++ {
-		if w := len(pj.sample[si]) - l + 1; w > 0 {
-			bound += w
-		}
-	}
-	return bound
-}
-
-// clipShard bounds the windows of sequence si (shard-local index i) still
-// wide enough to host a child of total length qLen: ramp mode clips the
-// implicit ramp by count, sparse mode binary-searches the ascending starts —
-// the incremental kernel's widened-window clip.
-func (pr *Projection) clipShard(sw *projShard, i int, seq []pattern.Symbol, qLen int) (int32, int32) {
-	wlo, whi := sw.offs[i], sw.offs[i+1]
-	if pr.pj.ramp {
-		if lim := int32(len(seq) - qLen + 1); whi-wlo > lim {
-			whi = wlo
-			if lim > 0 {
-				whi = wlo + lim
-			}
-		}
-		return wlo, whi
-	}
-	limit := int32(len(seq) - qLen)
-	if whi > wlo && sw.starts[whi-1] > limit {
-		l, h := wlo, whi
-		for l < h {
-			if mid := (l + h) / 2; sw.starts[mid] > limit {
-				h = mid
-			} else {
-				l = mid + 1
-			}
-		}
-		whi = l
-	}
-	return wlo, whi
-}
-
 // ClipMax returns, per sample sequence, the maximum parent product over the
 // windows still wide enough for a child of total length qLen (0 when none
 // survive). One walk of the projection serves every sibling's optimistic
@@ -260,7 +193,7 @@ func (pr *Projection) ClipMax(qLen int) []float64 {
 		lo, hi := sh[0], sh[1]
 		sw := &pr.shards[s]
 		for si := lo; si < hi; si++ {
-			wlo, whi := pr.clipShard(sw, si-lo, pr.pj.sample[si], qLen)
+			wlo, whi := sw.clip(si-lo, len(pr.pj.sample[si]), qLen, pr.pj.ramp)
 			best := 0.0
 			for w := wlo; w < whi; w++ {
 				if v := sw.prods[w]; v > best {
@@ -298,126 +231,33 @@ func (pr *Projection) Bound(clip []float64, rowMax float64) float64 {
 
 // ValueKids scores every right-extension of the projected pattern to total
 // length qLen by the symbols ds — one walk of the projection shared by all
-// siblings, mirroring the incremental kernel's group valuation
-// (valueRampGroups / valueSparseGroups) bit for bit: per-sequence best over
-// fl(parent product × row factor), summed per shard, merged in ascending
-// shard order, divided by the sample size.
-//
-// For wide sibling groups the per-sequence max is computed by observed-symbol
-// class instead of window by window: the windows a sequence offers a child
-// partition by the observed symbol at the extension position, and within a
-// class o the best child product is fl(max parent product × row[o]) — float
-// multiplication by a fixed non-negative factor is monotone, so the class max
-// commutes with the multiply and the per-sequence best over classes is the
-// same float64 the window-by-window walk produces. One classification pass
-// (O(windows)) then serves every sibling at O(classes) each, instead of every
-// sibling re-walking every window.
+// siblings (siblings.add, the incremental kernel's group valuation, class-max
+// for wide groups), summed per shard, merged in ascending shard order,
+// divided by the sample size.
 func (pr *Projection) ValueKids(qLen int, ds []pattern.Symbol) []float64 {
 	pj := pr.pj
 	out := make([]float64, len(ds))
 	part := make([]float64, len(ds))
-	best := make([]float64, len(ds))
 	krows := make([][]float64, len(ds))
 	for i, d := range ds {
 		krows[i] = pj.rc.row(d)
 	}
-	var classMax []float64
-	var stamp []int32
-	var present []int32
-	var epoch int32
-	if len(ds) >= 3 {
-		classMax = make([]float64, pj.m)
-		stamp = make([]int32, pj.m)
-		present = make([]int32, 0, pj.m)
-	}
-	off := qLen - 1
+	sb := newSiblings(pj.m)
 	for s, sh := range pj.shards {
 		lo, hi := sh[0], sh[1]
 		sw := &pr.shards[s]
-		for i := range part {
-			part[i] = 0
-		}
+		clear(part)
 		for si := lo; si < hi; si++ {
 			seq := pj.sample[si]
-			wlo, whi := pr.clipShard(sw, si-lo, seq, qLen)
+			wlo, whi := sw.clip(si-lo, len(seq), qLen, pj.ramp)
 			if whi <= wlo {
 				continue
 			}
-			nw := int(whi - wlo)
-			classes := pj.m
-			if nw < classes {
-				classes = nw
+			var starts []int32
+			if !pj.ramp {
+				starts = sw.starts[wlo:whi]
 			}
-			// The class pass costs nw + classes·(len(ds)+1) sequence ops where
-			// the direct walk costs nw·len(ds); pick per sequence.
-			if classMax != nil && nw*(len(ds)-1) > nw+classes*(len(ds)+1) {
-				epoch++
-				present = present[:0]
-				if pj.ramp {
-					prods := sw.prods[wlo:whi]
-					obs := seq[off : off+len(prods)]
-					for j, p := range prods {
-						o := int32(obs[j])
-						if stamp[o] != epoch {
-							stamp[o] = epoch
-							classMax[o] = p
-							present = append(present, o)
-						} else if p > classMax[o] {
-							classMax[o] = p
-						}
-					}
-				} else {
-					for w := wlo; w < whi; w++ {
-						o := int32(seq[sw.starts[w]+int32(off)])
-						if p := sw.prods[w]; stamp[o] != epoch {
-							stamp[o] = epoch
-							classMax[o] = p
-							present = append(present, o)
-						} else if p > classMax[o] {
-							classMax[o] = p
-						}
-					}
-				}
-				for ci := range krows {
-					row := krows[ci]
-					b := 0.0
-					for _, o := range present {
-						if v := classMax[o] * row[o]; v > b {
-							b = v
-						}
-					}
-					part[ci] += b
-				}
-			} else if pj.ramp {
-				prods := sw.prods[wlo:whi]
-				obs := seq[off : off+len(prods)] // same length as prods: checks eliminated
-				for ci := range krows {
-					row := krows[ci]
-					b := 0.0
-					for j, p := range prods {
-						if v := p * row[obs[j]]; v > b {
-							b = v
-						}
-					}
-					part[ci] += b
-				}
-			} else {
-				for ci := range best {
-					best[ci] = 0
-				}
-				for w := wlo; w < whi; w++ {
-					pprod := sw.prods[w]
-					obs := seq[sw.starts[w]+int32(off)]
-					for ci := range krows {
-						if v := pprod * krows[ci][obs]; v > best[ci] {
-							best[ci] = v
-						}
-					}
-				}
-				for ci := range best {
-					part[ci] += best[ci]
-				}
-			}
+			sb.add(part, krows, sw.prods[wlo:whi], starts, seq, qLen-1)
 		}
 		for i := range out {
 			out[i] += part[i]
@@ -435,11 +275,11 @@ func (pr *Projection) ValueKids(qLen int, ds []pattern.Symbol) []float64 {
 // profile one (node, length) group per call without reallocating. The zero
 // value is ready to use; not safe for concurrent use.
 type ProfileScratch struct {
-	classMax []float64 // dense per-symbol max, zeroed between sequences
-	offs     []int32
-	syms     []int32
-	vals     []float64
-	clip     []float64
+	cls  *siblings
+	offs []int32
+	syms []int32
+	vals []float64
+	clip []float64
 }
 
 // Profile is the class decomposition of a projection clipped for children of
@@ -449,7 +289,7 @@ type ProfileScratch struct {
 // returns, since a max over windows equals the max over class maxima. One
 // window walk builds it; afterwards a child's per-sequence best is
 // max over classes of fl(classMax × row[class]) — bit-identical to the
-// window-by-window walk by float monotonicity (see ValueKids) — so valuing a
+// window-by-window walk by float monotonicity (see siblings.classes) — so valuing a
 // sibling costs O(distinct classes), not O(windows), per sequence.
 //
 // A Profile borrows its scratch's buffers: it is valid only until the next
@@ -468,8 +308,8 @@ type Profile struct {
 func (pr *Projection) Profile(qLen int, sc *ProfileScratch) Profile {
 	pj := pr.pj
 	n := len(pj.sample)
-	if len(sc.classMax) < pj.m {
-		sc.classMax = make([]float64, pj.m)
+	if sc.cls == nil || len(sc.cls.cm) != pj.m {
+		sc.cls = newSiblings(pj.m)
 	}
 	if cap(sc.clip) < n {
 		sc.clip = make([]float64, n)
@@ -479,47 +319,23 @@ func (pr *Projection) Profile(qLen int, sc *ProfileScratch) Profile {
 	sc.offs = append(sc.offs[:0], 0)
 	sc.syms = sc.syms[:0]
 	sc.vals = sc.vals[:0]
-	off := qLen - 1
 	for s, sh := range pj.shards {
 		lo, hi := sh[0], sh[1]
 		sw := &pr.shards[s]
 		for si := lo; si < hi; si++ {
 			seq := pj.sample[si]
-			wlo, whi := pr.clipShard(sw, si-lo, seq, qLen)
-			if whi <= wlo {
-				sc.clip[si] = 0
-				sc.offs = append(sc.offs, int32(len(sc.syms)))
-				continue
-			}
-			// Dense class update, no per-window branching beyond the max
-			// itself; only a zero product (dropped in sparse mode, inert
-			// under max in ramp mode) leaves a class absent.
-			cm := sc.classMax
-			if pj.ramp {
-				prods := sw.prods[wlo:whi]
-				obs := seq[off : off+len(prods)]
-				for j, p := range prods {
-					if o := obs[j]; p > cm[o] {
-						cm[o] = p
-					}
-				}
-			} else {
-				for w := wlo; w < whi; w++ {
-					if o := seq[sw.starts[w]+int32(off)]; sw.prods[w] > cm[o] {
-						cm[o] = sw.prods[w]
-					}
-				}
-			}
 			best := 0.0
-			for o, c := range cm {
-				if c > 0 {
-					sc.syms = append(sc.syms, int32(o))
-					sc.vals = append(sc.vals, c)
-					if c > best {
-						best = c
-					}
-					cm[o] = 0
+			if wlo, whi := sw.clip(si-lo, len(seq), qLen, pj.ramp); whi > wlo {
+				var starts []int32
+				if !pj.ramp {
+					starts = sw.starts[wlo:whi]
 				}
+				sc.cls.classes(sw.prods[wlo:whi], starts, seq, qLen-1)
+				for _, c := range sc.cls.vals {
+					best = max(best, c)
+				}
+				sc.syms = append(sc.syms, sc.cls.syms...)
+				sc.vals = append(sc.vals, sc.cls.vals...)
 			}
 			sc.clip[si] = best
 			sc.offs = append(sc.offs, int32(len(sc.syms)))
@@ -545,24 +361,14 @@ func (pf *Profile) ValueKids(ds []pattern.Symbol) []float64 {
 	}
 	for _, sh := range pj.shards {
 		lo, hi := sh[0], sh[1]
-		for i := range part {
-			part[i] = 0
-		}
+		clear(part)
 		for si := lo; si < hi; si++ {
 			elo, ehi := pf.offs[si], pf.offs[si+1]
 			if ehi <= elo {
 				continue
 			}
-			syms := pf.syms[elo:ehi]
-			vals := pf.vals[elo:ehi]
 			for ci, row := range krows {
-				b := 0.0
-				for t, o := range syms {
-					if v := vals[t] * row[o]; v > b {
-						b = v
-					}
-				}
-				part[ci] += b
+				part[ci] += classBest(pf.syms[elo:ehi], pf.vals[elo:ehi], row)
 			}
 		}
 		for i := range out {
@@ -585,7 +391,7 @@ func (pf *Profile) ValueKids(ds []pattern.Symbol) []float64 {
 func (pr *Projection) Extend(qLen int, d pattern.Symbol) *Projection {
 	pj := pr.pj
 	row := pj.rc.row(d)
-	child := &Projection{pj: pj, patLen: qLen, shards: make([]projShard, len(pj.shards))}
+	child := &Projection{pj: pj, patLen: qLen, shards: make([]windowSet, len(pj.shards))}
 	off := qLen - 1
 	for s, sh := range pj.shards {
 		lo, hi := sh[0], sh[1]
@@ -595,15 +401,12 @@ func (pr *Projection) Extend(qLen int, d pattern.Symbol) *Projection {
 		// Surviving windows are bounded both by the parent's block and by the
 		// child length's window count; reserving the smaller keeps Bytes()
 		// within WindowBytesBound(qLen), the budget admission bound.
-		bound := len(sw.prods)
-		if cb := pj.shardWindowBound(lo, hi, qLen); cb < bound {
-			bound = cb
-		}
+		bound := min(len(sw.prods), int(countWindows(pj.sample[lo:hi], qLen)))
 		if pj.ramp {
 			dst := make([]float64, 0, bound)
 			for si := lo; si < hi; si++ {
 				seq := pj.sample[si]
-				wlo, whi := pr.clipShard(sw, si-lo, seq, qLen)
+				wlo, whi := sw.clip(si-lo, len(seq), qLen, pj.ramp)
 				if whi > wlo {
 					prods := sw.prods[wlo:whi]
 					obs := seq[off : off+len(prods)]
@@ -619,10 +422,10 @@ func (pr *Projection) Extend(qLen int, d pattern.Symbol) *Projection {
 			kpr := make([]float64, 0, bound)
 			for si := lo; si < hi; si++ {
 				seq := pj.sample[si]
-				wlo, whi := pr.clipShard(sw, si-lo, seq, qLen)
+				wlo, whi := sw.clip(si-lo, len(seq), qLen, pj.ramp)
 				for w := wlo; w < whi; w++ {
 					st := sw.starts[w]
-					if v := sw.prods[w] * row[seq[st+int32(off)]]; v != 0 {
+					if v := sw.prods[w] * row[seq[int(st)+off]]; v != 0 {
 						kst = append(kst, st)
 						kpr = append(kpr, v)
 					}
