@@ -183,7 +183,7 @@ type result struct {
 	GrowthBoundPrunes     int64   `json:"growth_bound_prunes"`
 	GrowthLabelsIdentical bool    `json:"growth_labels_identical"`
 	// Phase3ShardMs re-mines the last run with Phase 3 probe scans scattered
-	// over Phase3Shards database shards (the SoA scatter-gather path);
+	// over Phase3Shards database shards (the scatter-gather path);
 	// Phase3SpeedupX is the single-pass Phase 3 wall time over the sharded
 	// one, and Phase3Identical confirms both runs mined the same frequent
 	// set and spent the same number of logical scans.
@@ -503,10 +503,10 @@ func bench(w workload, runs int, seed int64) (result, error) {
 	r.GrowthLabelsIdentical = sameLabels(lastRes, growthRes) && sameFrequent(lastRes, growthRes)
 
 	// Re-mine the last run's sample with Phase 3 probes scattered over one
-	// shard per CPU (at least two, so the scatter-gather path and its SoA
-	// probe kernel are always the thing measured): the sharded run must mine
-	// the same frequent set with the same logical scan budget, only faster
-	// on the wall clock. Phase 3 is a few ms on the quick grid, so both
+	// shard per CPU (at least two, so the scatter-gather path and its
+	// per-block reduction are always the thing measured): the sharded run
+	// must mine the same frequent set with the same logical scan budget,
+	// only faster on the wall clock. Phase 3 is a few ms on the quick grid, so both
 	// sides are measured best-of-3 against the same seed to beat timer
 	// noise; the single-pass baseline is re-timed the same way rather than
 	// reusing the instrumented run's one-shot Phase3Ms.

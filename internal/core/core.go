@@ -183,16 +183,17 @@ type Config struct {
 	MemBudget int
 	// Finalizer selects the Phase 3 strategy. Default BorderCollapsing.
 	Finalizer Finalizer
-	// Workers > 1 spreads each Phase 3 probe scan's counting work across
-	// that many goroutines (-1 = GOMAXPROCS); the scan itself remains one
-	// sequential pass. The same count shards Phase 2's incremental kernel
-	// across the sample. Results are identical for every worker count.
-	// Default 0 (sequential).
+	// Workers > 1 splits each block of a Phase 3 probe scan's sequences
+	// across that many goroutines (-1 = GOMAXPROCS); the scan itself remains
+	// one sequential pass, and the per-sequence values are folded in
+	// sequence order, so Phase 3 values are bit-identical for every worker
+	// count. The same count shards Phase 2's incremental kernel across the
+	// sample. Default 0 (one worker).
 	Workers int
 	// Phase3Shards > 1 scatters each Phase 3 probe scan over that many
-	// deterministic database shards, matched concurrently with the
-	// structure-of-arrays kernel and gathered in ascending shard order (one
-	// logical pass; see miner.ShardedMatchDBValuer). When the database is
+	// deterministic database shards, valued concurrently with the probe
+	// kernel and gathered in ascending shard order (one logical pass; see
+	// miner.ShardedMatchDBValuer). When the database is
 	// already a seqdb.Sharded (a native multi-file shard set) its own shard
 	// count is used and this value is ignored. Workers, when > 0, caps the
 	// concurrently-scanning shards. Values are bit-identical for every
@@ -248,12 +249,12 @@ type Config struct {
 	PhaseTimeouts PhaseTimeouts
 }
 
-// probeValuer picks the Phase 3 counting kernel — sequential, parallel
-// (worker-partitioned patterns over one pass), or scatter-gather over
-// database shards — all cancellable through ctx and retry-safe when db
-// re-runs failed passes. The sharded path records its own telemetry (it
-// scans shards directly, not through the telemetry wrapper), so it receives
-// the unwrapped scanner plus the Metrics.
+// probeValuer picks the Phase 3 probe reduction — the running sum of one
+// pass (on Workers goroutines), or per-block sums scattered over database
+// shards — both over the same probe kernel, cancellable through ctx and
+// retry-safe when db re-runs failed passes. The sharded path records its own
+// telemetry (it scans shards directly, not through the telemetry wrapper),
+// so it receives the unwrapped scanner plus the Metrics.
 func (c *Config) probeValuer(ctx context.Context, db seqdb.Scanner, src compat.Source) miner.Valuer {
 	if c.ProbeValuer != nil {
 		return c.ProbeValuer(ctx, db, src)
@@ -261,10 +262,11 @@ func (c *Config) probeValuer(ctx context.Context, db seqdb.Scanner, src compat.S
 	if sh := c.shardedDB(db); sh != nil {
 		return miner.ShardedMatchDBValuerContext(ctx, sh, src, c.Workers, c.Metrics)
 	}
-	if c.Workers == 0 || c.Workers == 1 {
-		return miner.MatchDBValuerContext(ctx, db, src)
+	workers := c.Workers
+	if workers == 0 {
+		workers = 1 // -1 asks the valuer for GOMAXPROCS
 	}
-	return miner.ParallelMatchDBValuerContext(ctx, db, src, c.Workers)
+	return miner.ParallelMatchDBValuerContext(ctx, db, src, workers)
 }
 
 // shardedDB resolves the database the scatter-gather probe path scans: the

@@ -32,30 +32,37 @@ func (ws *windowSet) bytes() int64 {
 }
 
 // clip bounds the windows of shard-local sequence i (of length seqLen) that
-// are still wide enough to host a pattern of total length qLen: ramp mode
-// clips the implicit ramp by count, sparse mode binary-searches the
-// ascending starts.
+// are still wide enough to host a pattern of total length qLen.
 func (ws *windowSet) clip(i, seqLen, qLen int, ramp bool) (int, int) {
 	wlo, whi := int(ws.offs[i]), int(ws.offs[i+1])
-	if ramp {
-		if lim := seqLen - qLen + 1; whi-wlo > lim {
-			whi = wlo + max(lim, 0)
-		}
-		return wlo, whi
+	var starts []int32
+	if !ramp {
+		starts = ws.starts[wlo:whi]
+	}
+	return wlo, wlo + hosted(starts, whi-wlo, seqLen, qLen)
+}
+
+// hosted returns how many of a sequence's nw leading windows (ascending
+// starts, nil in ramp mode) are still wide enough to host a pattern of total
+// length qLen in a sequence of length seqLen: ramp mode clips the implicit
+// ramp by count, sparse mode binary-searches the starts.
+func hosted(starts []int32, nw, seqLen, qLen int) int {
+	if starts == nil {
+		return min(nw, max(seqLen-qLen+1, 0))
 	}
 	limit := int32(seqLen - qLen)
-	if whi > wlo && ws.starts[whi-1] > limit {
-		l, h := wlo, whi
-		for l < h {
-			if mid := (l + h) / 2; ws.starts[mid] > limit {
-				h = mid
-			} else {
-				l = mid + 1
-			}
-		}
-		whi = l
+	if nw == 0 || starts[nw-1] <= limit {
+		return nw
 	}
-	return wlo, whi
+	l, h := 0, nw
+	for l < h {
+		if mid := (l + h) / 2; starts[mid] > limit {
+			h = mid
+		} else {
+			l = mid + 1
+		}
+	}
+	return l
 }
 
 // countWindows returns the number of length-l windows over seqs.
@@ -88,20 +95,21 @@ type siblings struct {
 	syms []int32          // classes the last pass saw
 	vals []float64        // their maximum parent products
 	obs  []pattern.Symbol // sparse mode: the gathered observed symbols
-	run  []float64        // per-sibling running max of the window-by-window walk
+	run  []uint64         // per-sibling running max (maxBits) of the window-by-window walk
 }
 
 func newSiblings(m int) *siblings { return &siblings{cm: make([]uint64, m)} }
 
-// maxBits is the key the class pass and classBest take maxima over: the
-// IEEE-754 bits of |v|. Every value here is a product of matrix cells, so it
-// is +0, -0 or positive, never NaN; positive floats order exactly as their
-// bits do as uint64, and clearing the sign maps -0 (whose raw bits exceed
-// every positive float's) to +0. An integer max over these keys therefore
-// returns the float64 the window walk's `if v > b { b = v }` from b = +0
-// returns, and compiles to a conditional move where the float compare is a
-// branch the window data mispredicts (EXPERIMENTS.md, "Phase-2 kernel:
-// class-max valuation and live-level admission").
+// maxBits is the key every sibling maximum is taken over (the class pass,
+// classBest and the window walk): the IEEE-754 bits of |v|. Every value here
+// is a product of matrix cells, so it is +0, -0 or positive, never NaN;
+// positive floats order exactly as their bits do as uint64, and clearing the
+// sign maps -0 (whose raw bits exceed every positive float's) to +0. An
+// integer max over these keys therefore returns the float64 that
+// `if v > b { b = v }` from b = +0 returns, and compiles to a conditional
+// move where the float compare is a branch the window data mispredicts
+// (EXPERIMENTS.md, "Phase-2 kernel: class-max valuation and live-level
+// admission").
 func maxBits(v float64) uint64 { return math.Float64bits(v) &^ (1 << 63) }
 
 // classes is the observed-symbol class pass: it partitions one sequence's
@@ -162,7 +170,8 @@ func classBest(syms []int32, vals []float64, row []float64) float64 {
 // part[ci], krows[ci] being sibling ci's matrix row. The class pass costs
 // nw + classes·(k+1) operations where the window-by-window walk costs nw·k
 // for nw windows and k siblings, so the cheaper one is chosen per sequence;
-// both produce the same floats (see classes).
+// both produce the same floats (see classes). Both take their maxima over
+// maxBits, which keeps the walk free of data-dependent branches.
 func (sb *siblings) add(part []float64, krows [][]float64, prods []float64, starts []int32, seq []pattern.Symbol, off int) {
 	nw, k := len(prods), len(krows)
 	if nw*(k-1) > nw+min(len(sb.cm), nw)*(k+1) {
@@ -175,18 +184,16 @@ func (sb *siblings) add(part []float64, krows [][]float64, prods []float64, star
 	if starts == nil {
 		obs := seq[off : off+nw]
 		for ci, row := range krows {
-			b := 0.0
+			var b uint64
 			for j, p := range prods {
-				if v := p * row[obs[j]]; v > b {
-					b = v
-				}
+				b = max(b, maxBits(p*row[obs[j]]))
 			}
-			part[ci] += b
+			part[ci] += math.Float64frombits(b)
 		}
 		return
 	}
 	if cap(sb.run) < k {
-		sb.run = make([]float64, k)
+		sb.run = make([]uint64, k)
 	}
 	best := sb.run[:k]
 	clear(best)
@@ -194,12 +201,10 @@ func (sb *siblings) add(part []float64, krows [][]float64, prods []float64, star
 	for w, p := range prods {
 		o := seq[int(starts[w])+off]
 		for ci, row := range krows {
-			if v := p * row[o]; v > best[ci] {
-				best[ci] = v
-			}
+			best[ci] = max(best[ci], maxBits(p*row[o]))
 		}
 	}
 	for ci, b := range best {
-		part[ci] += b
+		part[ci] += math.Float64frombits(b)
 	}
 }

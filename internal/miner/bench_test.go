@@ -1,11 +1,15 @@
 package miner
 
 import (
+	"fmt"
 	"math/rand"
+	"path/filepath"
 	"testing"
 
 	"repro/internal/compat"
+	"repro/internal/datagen"
 	"repro/internal/pattern"
+	"repro/internal/seqdb"
 )
 
 // BenchmarkSampleChernoff runs the full Phase 2 lattice over one sample with
@@ -43,5 +47,62 @@ func BenchmarkSampleChernoff(b *testing.B) {
 				return v
 			})
 		})
+	}
+}
+
+// BenchmarkProbeScan times one Phase 3 probe scan of a disk-resident
+// database shaped like lspperf's disk-collapse workload (2×10^4 noisy
+// protein-like sequences of length 24–40, m=20, α=0.05, on an LSQ2 file):
+// the scan's decode plus the probe kernel, for a sibling-heavy batch of
+// 2-patterns and for a scattered batch of 4–5-patterns, both as border
+// collapsing probes them under a budget of 12 counters.
+func BenchmarkProbeScan(b *testing.B) {
+	rng := rand.New(rand.NewSource(5))
+	data := datagen.ProteinConfig{N: 20000, M: 20, MinLen: 24, MaxLen: 40, NumMotifs: 3, MotifLen: 5, PlantProb: 0.40}
+	std, _, err := datagen.Protein(data, rng)
+	if err != nil {
+		b.Fatal(err)
+	}
+	noisy, err := datagen.ApplyUniformNoise(std, data.M, 0.05, rng)
+	if err != nil {
+		b.Fatal(err)
+	}
+	path := filepath.Join(b.TempDir(), "probe.lsq")
+	if err := seqdb.WriteFile(path, noisy); err != nil {
+		b.Fatal(err)
+	}
+	db, err := seqdb.OpenFile(path)
+	if err != nil {
+		b.Fatal(err)
+	}
+	c, err := compat.UniformNoise(data.M, 0.05)
+	if err != nil {
+		b.Fatal(err)
+	}
+	batches := []struct {
+		name string
+		keys []string
+	}{
+		{"siblings", []string{"1,*,3", "1,*,4", "1,*,5", "1,*,7", "1,2", "1,3", "1,4", "1,5", "10,*,0", "12,*,0", "12,0", "2,*,2"}},
+		{"scattered", []string{"13,*,14,12,6", "13,7,*,12,6", "13,7,14,*,6", "13,7,14,12", "15,*,4,1,12", "15,2,*,1,12",
+			"15,2,4,*,12", "15,2,4,1", "2,4,1,12", "7,14,12,6", "15,*,4,*,12", "15,*,4,1"}},
+	}
+	for _, batch := range batches {
+		ps := make([]pattern.Pattern, len(batch.keys))
+		for i, k := range batch.keys {
+			if ps[i], err = pattern.ParseKey(k); err != nil {
+				b.Fatal(err)
+			}
+		}
+		for _, workers := range []int{1, 2} {
+			b.Run(fmt.Sprintf("%s-%dw", batch.name, workers), func(b *testing.B) {
+				v := ParallelMatchDBValuer(db, c, workers)
+				for i := 0; i < b.N; i++ {
+					if _, err := v(ps); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
 	}
 }

@@ -79,39 +79,15 @@ func DBValuerContext(ctx context.Context, db seqdb.Scanner, meas match.Measure) 
 }
 
 // MatchDBValuer evaluates candidates with one full database scan per call
-// under the match measure using compiled matchers.
+// under the match measure, using the probe kernel on one worker.
 func MatchDBValuer(db seqdb.Scanner, c compat.Source) Valuer {
 	return MatchDBValuerContext(nil, db, c)
 }
 
-// MatchDBValuerContext is MatchDBValuer with cancellation checked between
-// sequences. The compiled set is rebuilt per scan attempt, so a retrying
-// scanner can re-run a failed pass without double-counting observations.
-// Averages divide by the set's observed-sequence count — the sequences the
-// pass delivered — not db.Len(), so a stale Len() cannot skew the values.
+// MatchDBValuerContext is MatchDBValuer with cancellation: the one-worker
+// ParallelMatchDBValuerContext, with the same running-sum values.
 func MatchDBValuerContext(ctx context.Context, db seqdb.Scanner, c compat.Source) Valuer {
-	return func(ps []pattern.Pattern) ([]float64, error) {
-		if len(ps) == 0 {
-			// An empty batch needs no counters, so it must not cost a scan.
-			return nil, nil
-		}
-		var set *match.CompiledSet
-		err := seqdb.ScanPassContext(ctx, db, func() (func(id int, seq []pattern.Symbol) error, error) {
-			s, err := match.CompileSet(c, ps)
-			if err != nil {
-				return nil, err
-			}
-			set = s
-			return func(id int, seq []pattern.Symbol) error {
-				s.Observe(seq)
-				return nil
-			}, nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		return set.Matches(0), nil // n <= 0: divide by observed count
-	}
+	return ParallelMatchDBValuerContext(ctx, db, c, 1)
 }
 
 // Exhaustive mines the complete set of patterns whose value meets minMatch,

@@ -2,7 +2,6 @@ package miner
 
 import (
 	"context"
-	"fmt"
 	"runtime"
 	"sync"
 
@@ -12,22 +11,30 @@ import (
 	"repro/internal/seqdb"
 )
 
+// probeBlock is the number of sequences a probe scan buffers before valuing
+// them: one block is split across the workers by sequence and folded into
+// the running sums before the next block is read.
+const probeBlock = 256
+
 // ParallelMatchDBValuer is MatchDBValuer with the per-scan counting work
 // spread across workers goroutines (0 = GOMAXPROCS). The scan remains a
-// single sequential pass — the paper's cost model — but each block of
-// sequences is matched against worker-private pattern partitions, so
-// counters are written without contention and results are deterministic.
-//
-// Use it for wide probe scans (many counters per pass); for small batches
-// the sequential valuer's lower constant wins.
+// single sequential pass — the paper's cost model. Each block of delivered
+// sequences is split across the workers by sequence; every worker values its
+// sequences with the probe kernel (match.ProbeBatch) into a per-sequence row
+// of a block buffer, and the rows are then folded into the sums in ascending
+// sequence id. The running sums therefore see exactly match.DB's additions
+// in match.DB's order, and the values are bit-identical for every worker
+// count, including MatchDBValuer's one.
 func ParallelMatchDBValuer(db seqdb.Scanner, c compat.Source, workers int) Valuer {
 	return ParallelMatchDBValuerContext(nil, db, c, workers)
 }
 
 // ParallelMatchDBValuerContext is ParallelMatchDBValuer with cancellation
-// checked between sequences and before every block flush. Worker-private
-// compiled sets and block state are rebuilt per scan attempt, so a retrying
-// scanner can re-run a failed pass without double-counting.
+// checked between sequences and before every block is valued. Sums, counts
+// and the block buffer are rebuilt per scan attempt, so a retrying scanner
+// can re-run a failed pass without double-counting. Averages divide by the
+// number of sequences the pass delivered, not db.Len(), so a stale Len()
+// cannot skew the values.
 func ParallelMatchDBValuerContext(ctx context.Context, db seqdb.Scanner, c compat.Source, workers int) Valuer {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -38,38 +45,26 @@ func ParallelMatchDBValuerContext(ctx context.Context, db seqdb.Scanner, c compa
 			// don't burn a full database scan on an empty batch.
 			return nil, nil
 		}
-		w := workers
-		if w > len(ps) {
-			w = len(ps)
+		batch, err := match.CompileProbeBatch(c, ps)
+		if err != nil {
+			return nil, err
 		}
-
-		const blockSize = 256
-		var sets []*match.CompiledSet
-		var bounds []int
+		kernels := make([]*match.ProbeWorker, workers)
+		for i := range kernels {
+			kernels[i] = batch.NewWorker()
+		}
+		np := len(ps)
+		var sums []float64
+		var delivered int
 		var finalFlush func() error
-		err := seqdb.ScanPassContext(ctx, db, func() (func(int, []pattern.Symbol) error, error) {
-			// Per-attempt state: pattern partitions, one CompiledSet each,
-			// and the block accumulator — fresh on every (re-)run.
-			sets = make([]*match.CompiledSet, w)
-			bounds = make([]int, w+1)
-			for i := 0; i < w; i++ {
-				bounds[i+1] = (len(ps) * (i + 1)) / w
-				set, err := match.CompileSet(c, ps[bounds[i]:bounds[i+1]])
-				if err != nil {
-					return nil, err
-				}
-				sets[i] = set
-			}
+		err = seqdb.ScanPassContext(ctx, db, func() (func(int, []pattern.Symbol) error, error) {
+			sums, delivered = make([]float64, np), 0
 			// The scanner may reuse its buffer (DiskDB does), so delivered
-			// sequences are copied — into a pooled per-block arena reused
-			// across flushes, not a fresh slice per sequence. flush is
-			// synchronous (it joins the workers before returning), so the
-			// arena is free for reuse the moment it returns; steady-state
-			// the accumulator allocates nothing.
-			arena := make([]pattern.Symbol, 0, blockSize*64)
-			lens := make([]int, 0, blockSize)
-			block := make([][]pattern.Symbol, blockSize)
-			attemptSets := sets
+			// sequences are copied into an arena reused across blocks.
+			arena := make([]pattern.Symbol, 0, probeBlock*64)
+			lens := make([]int, 0, probeBlock)
+			block := make([][]pattern.Symbol, probeBlock)
+			vals := make([]float64, probeBlock*np)
 			flush := func() error {
 				if len(lens) == 0 {
 					return nil
@@ -79,35 +74,41 @@ func ParallelMatchDBValuerContext(ctx context.Context, db seqdb.Scanner, c compa
 						return err
 					}
 				}
-				// Materialize the block views only now: appends may have
-				// regrown the arena mid-block, and slicing the final backing
-				// array keeps every view valid.
+				// Views are cut only now: appends may have regrown the arena
+				// mid-block.
 				off := 0
 				for i, l := range lens {
 					block[i] = arena[off : off+l : off+l]
 					off += l
 				}
-				filled := block[:len(lens)]
+				n := len(lens)
+				w := min(workers, n)
 				var wg sync.WaitGroup
 				wg.Add(w)
 				for i := 0; i < w; i++ {
-					go func(set *match.CompiledSet) {
+					go func(lo, hi int) {
 						defer wg.Done()
-						for _, seq := range filled {
-							set.Observe(seq)
+						clear(vals[lo*np : hi*np])
+						for s := lo; s < hi; s++ {
+							kernels[i].Add(vals[s*np:(s+1)*np], block[s])
 						}
-					}(attemptSets[i])
+					}(n*i/w, n*(i+1)/w)
 				}
 				wg.Wait()
-				arena = arena[:0]
-				lens = lens[:0]
+				for s := 0; s < n; s++ {
+					for i, v := range vals[s*np : (s+1)*np] {
+						sums[i] += v
+					}
+				}
+				delivered += n
+				arena, lens = arena[:0], lens[:0]
 				return nil
 			}
 			finalFlush = flush
 			return func(id int, seq []pattern.Symbol) error {
 				arena = append(arena, seq...)
 				lens = append(lens, len(seq))
-				if len(lens) == blockSize {
+				if len(lens) == probeBlock {
 					return flush()
 				}
 				return nil
@@ -116,22 +117,15 @@ func ParallelMatchDBValuerContext(ctx context.Context, db seqdb.Scanner, c compa
 		if err != nil {
 			return nil, err
 		}
-		// Drain the last partial block of the successful attempt.
+		// Value the last partial block of the successful attempt.
 		if err := finalFlush(); err != nil {
 			return nil, err
 		}
-
-		// Every worker set observed every delivered sequence, so its internal
-		// observation count is the delivered-sequence count — divide by that,
-		// not db.Len(), which may be stale for some scanners.
-		out := make([]float64, 0, len(ps))
-		for i := 0; i < w; i++ {
-			part := sets[i].Matches(0)
-			if len(part) != bounds[i+1]-bounds[i] {
-				return nil, fmt.Errorf("miner: worker %d returned %d values", i, len(part))
+		if delivered > 0 {
+			for i := range sums {
+				sums[i] /= float64(delivered)
 			}
-			out = append(out, part...)
 		}
-		return out, nil
+		return sums, nil
 	}
 }

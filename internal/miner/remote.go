@@ -2,8 +2,7 @@ package miner
 
 import (
 	"context"
-	"fmt"
-	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/compat"
@@ -20,10 +19,10 @@ import (
 // path. sh supplies only the layout (shard count, block size, total); its
 // sequences are never read by the coordinator.
 //
-// Determinism: remote partials are computed by the identical
-// structure-of-arrays kernel over the identical probe blocks, and Go's JSON
-// float64 encoding round-trips bit-exactly, so the gathered values are
-// bit-identical to the single-machine path's no matter which node served
+// Determinism: remote partials are computed by the identical probe kernel
+// over the identical probe blocks, and Go's JSON float64 encoding
+// round-trips bit-exactly, so the gathered values are bit-identical to the
+// single-machine sharded path's no matter which node served
 // which shard, how often shards were reassigned, or which hedge won.
 // Failure handling — reassignment, backoff, hedging, shard loss — lives in
 // the Pool; a shard no node can serve surfaces as an error wrapping
@@ -53,58 +52,27 @@ func RemoteShardValuerContext(ctx context.Context, sh *seqdb.Sharded, pool *shar
 		}
 
 		start := time.Now()
-		results := make([]*shardrpc.ProbeResponse, shards)
-		errs := make([]error, shards)
-		next := make(chan int)
-		var wg sync.WaitGroup
-		wg.Add(conc)
-		for w := 0; w < conc; w++ {
-			go func() {
-				defer wg.Done()
-				for s := range next {
-					req := *base
-					req.Shard = s
-					results[s], errs[s] = pool.Probe(ctx, &req)
-				}
-			}()
-		}
-		for s := 0; s < shards; s++ {
-			next <- s
-		}
-		close(next)
-		wg.Wait()
-		// First error in shard order, so the reported failure is
-		// deterministic even when several shards fail at once.
-		for _, err := range errs {
-			if err != nil {
-				return nil, err
+		blocks := make([][]shardrpc.BlockPartial, shards)
+		var symbols atomic.Int64
+		err := scatter(shards, conc, func(s int) error {
+			req := *base
+			req.Shard = s
+			r, err := pool.Probe(ctx, &req)
+			if err == nil {
+				blocks[s] = r.Blocks
+				symbols.Add(r.Symbols)
 			}
+			return err
+		})
+		if err != nil {
+			return nil, err
 		}
-
-		// Gather: fold block sums in ascending global id order — shards are
-		// contiguous ascending ranges, so shard order is block order.
-		sums := make([]float64, len(ps))
-		n := 0
-		var symbols int64
-		for s, r := range results {
-			for _, b := range r.Blocks {
-				if len(b.Sums) != len(ps) {
-					return nil, fmt.Errorf("miner: shard %d returned %d sums for a %d-pattern batch", s, len(b.Sums), len(ps))
-				}
-				for i, v := range b.Sums {
-					sums[i] += v
-				}
-				n += b.N
-			}
-			symbols += r.Symbols
-		}
-		if n > 0 {
-			for i := range sums {
-				sums[i] /= float64(n)
-			}
+		sums, n, err := foldBlocks(len(ps), blocks)
+		if err != nil {
+			return nil, err
 		}
 		sh.NotePass()
-		m.ScanDone(4*symbols, true)
+		m.ScanDone(4*symbols.Load(), true)
 		m.ShardScan(time.Since(start), int64(n), -1)
 		return sums, nil
 	}

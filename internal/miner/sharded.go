@@ -2,6 +2,7 @@ package miner
 
 import (
 	"context"
+	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -11,32 +12,27 @@ import (
 	"repro/internal/match"
 	"repro/internal/pattern"
 	"repro/internal/seqdb"
+	"repro/internal/shardrpc"
 	"repro/internal/telemetry"
 )
 
 // ShardedMatchDBValuer is MatchDBValuer scattered over database shards: one
 // logical probe scan fans the batch out to per-shard worker goroutines, each
-// matching every pattern against its shard with the structure-of-arrays
-// kernel (match.SoASet), and the per-shard (sum, count) pairs are gathered
-// with an ascending-order merge.
+// valuing every pattern against its shard with the probe kernel
+// (match.ProbeBatch), and the per-shard (sum, count) pairs are gathered with
+// an ascending-order merge.
 //
 // Determinism: every shard accumulates on the database's fixed probe blocks
 // (seqdb.Sharded.BlockSize — a function of the database alone) and the
 // gather folds block sums in ascending global id order, so the returned
 // values are bit-identical for every shard and worker count over the same
 // database — the Phase 2 kernel's merge discipline applied to Phase 3.
-// Per-sequence match values are themselves bit-identical to Compiled.Match's
-// (see match.SoASet); only the summation grouping distinguishes the result
-// from the single-pass valuers', within float addition reassociation.
+// Per-sequence values are those of the single-pass valuers (the same
+// kernel); only the summation grouping — per-block sums, then the block
+// fold — distinguishes the result from their running sum, within float
+// addition reassociation.
 func ShardedMatchDBValuer(sh *seqdb.Sharded, c compat.Source, workers int) Valuer {
 	return ShardedMatchDBValuerContext(nil, sh, c, workers, nil)
-}
-
-// shardBlocks is one shard's gather payload: per probe block, the per-pattern
-// match sums and the sequence count, in ascending block order.
-type shardBlocks struct {
-	sums [][]float64
-	ns   []int
 }
 
 // ShardedMatchDBValuerContext is ShardedMatchDBValuer with cancellation
@@ -54,12 +50,11 @@ func ShardedMatchDBValuerContext(ctx context.Context, sh *seqdb.Sharded, c compa
 			// issues one, but a Valuer must not waste a scan on it).
 			return nil, nil
 		}
-		soa, err := match.CompileSoA(c, ps)
+		batch, err := match.CompileProbeBatch(c, ps)
 		if err != nil {
 			return nil, err
 		}
 		shards := sh.NumShards()
-		block := sh.BlockSize()
 		conc := workers
 		if conc <= 0 || conc > shards {
 			conc = shards
@@ -70,55 +65,16 @@ func ShardedMatchDBValuerContext(ctx context.Context, sh *seqdb.Sharded, c compa
 
 		passBytes, passReal := seqdb.RealBytes(sh)
 		var totalSymbols atomic.Int64
-
-		results := make([]shardBlocks, shards)
-		errs := make([]error, shards)
-		if conc == 1 {
-			// Nothing to overlap: scan the shards inline and skip the
-			// goroutine plumbing (the common case under GOMAXPROCS=1).
-			for s := 0; s < shards; s++ {
-				errs[s] = scanShard(ctx, sh.Shard(s), soa, len(ps), block, &results[s], &totalSymbols, m)
-			}
-		} else {
-			next := make(chan int)
-			var wg sync.WaitGroup
-			wg.Add(conc)
-			for w := 0; w < conc; w++ {
-				go func() {
-					defer wg.Done()
-					for s := range next {
-						errs[s] = scanShard(ctx, sh.Shard(s), soa, len(ps), block, &results[s], &totalSymbols, m)
-					}
-				}()
-			}
-			for s := 0; s < shards; s++ {
-				next <- s
-			}
-			close(next)
-			wg.Wait()
+		blocks := make([][]shardrpc.BlockPartial, shards)
+		err = scatter(shards, conc, func(s int) error {
+			return scanShard(ctx, sh.Shard(s), batch, sh.BlockSize(), &blocks[s], &totalSymbols, m)
+		})
+		if err != nil {
+			return nil, err
 		}
-		for _, err := range errs {
-			if err != nil {
-				return nil, err
-			}
-		}
-
-		// Gather: fold block sums in ascending global id order. Shards are
-		// contiguous ascending ranges, so shard order is block order.
-		sums := make([]float64, len(ps))
-		n := 0
-		for s := range results {
-			for b, bs := range results[s].sums {
-				for i, v := range bs {
-					sums[i] += v
-				}
-				n += results[s].ns[b]
-			}
-		}
-		if n > 0 {
-			for i := range sums {
-				sums[i] /= float64(n)
-			}
+		sums, _, err := foldBlocks(len(ps), blocks)
+		if err != nil {
+			return nil, err
 		}
 		sh.NotePass()
 		if passReal {
@@ -131,43 +87,77 @@ func ShardedMatchDBValuerContext(ctx context.Context, sh *seqdb.Sharded, c compa
 	}
 }
 
-// scanShard runs one shard's probe pass: accumulate per-block sums with the
-// SoA kernel, rebuilt per attempt for retry safety, and record the shard's
-// telemetry (wall time, sequences, real bytes when the shard reports them).
-func scanShard(ctx context.Context, shard seqdb.Scanner, soa *match.SoASet, batch, block int, out *shardBlocks, totalSymbols *atomic.Int64, m *telemetry.Metrics) error {
+// scatter runs fn for every shard index on conc goroutines and returns the
+// first error in shard order, so the reported failure is deterministic even
+// when several shards fail at once.
+func scatter(shards, conc int, fn func(s int) error) error {
+	errs := make([]error, shards)
+	next := make(chan int)
+	var wg sync.WaitGroup
+	wg.Add(conc)
+	for w := 0; w < conc; w++ {
+		go func() {
+			defer wg.Done()
+			for s := range next {
+				errs[s] = fn(s)
+			}
+		}()
+	}
+	for s := 0; s < shards; s++ {
+		next <- s
+	}
+	close(next)
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// foldBlocks is the gather: it folds the shards' block partials in
+// ascending global id order — shards are contiguous ascending ranges, so
+// shard order is block order — and returns the np database values and the
+// number of sequences they cover.
+func foldBlocks(np int, shards [][]shardrpc.BlockPartial) ([]float64, int, error) {
+	sums := make([]float64, np)
+	n := 0
+	for s, blocks := range shards {
+		for _, b := range blocks {
+			if len(b.Sums) != np {
+				return nil, 0, fmt.Errorf("miner: shard %d returned %d sums for a %d-pattern batch", s, len(b.Sums), np)
+			}
+			for i, v := range b.Sums {
+				sums[i] += v
+			}
+			n += b.N
+		}
+	}
+	if n > 0 {
+		for i := range sums {
+			sums[i] /= float64(n)
+		}
+	}
+	return sums, n, nil
+}
+
+// scanShard runs one shard's probe pass through the per-block reduction
+// (shardrpc.ScanBlocks) and records the shard's telemetry (wall time,
+// sequences, real bytes when the shard reports them).
+func scanShard(ctx context.Context, shard seqdb.Scanner, batch *match.ProbeBatch, block int, out *[]shardrpc.BlockPartial, totalSymbols *atomic.Int64, m *telemetry.Metrics) error {
 	start := time.Now()
 	startBytes, realBytes := seqdb.RealBytes(shard)
-	var acc shardBlocks
-	var seqs, symbols int64
-	err := seqdb.ScanPassContext(ctx, shard, func() (func(id int, seq []pattern.Symbol) error, error) {
-		acc = shardBlocks{}
-		seqs, symbols = 0, 0
-		cur := -1
-		var flat []float64 // one backing array for the pass's block sums
-		return func(id int, seq []pattern.Symbol) error {
-			if b := id / block; b != cur {
-				if len(flat) < batch {
-					flat = make([]float64, batch*64)
-				}
-				acc.sums = append(acc.sums, flat[:batch:batch])
-				flat = flat[batch:]
-				acc.ns = append(acc.ns, 0)
-				cur = b
-			}
-			last := len(acc.sums) - 1
-			soa.Observe(acc.sums[last], seq)
-			acc.ns[last]++
-			seqs++
-			symbols += int64(len(seq))
-			m.Sequence(len(seq))
-			return nil
-		}, nil
-	})
+	blocks, symbols, err := shardrpc.ScanBlocks(ctx, shard, batch, block, m.Sequence)
 	if err != nil {
 		return err
 	}
 	totalSymbols.Add(symbols)
-	*out = acc
+	*out = blocks
+	var seqs int64
+	for _, b := range blocks {
+		seqs += int64(b.N)
+	}
 	bytes := int64(-1)
 	if realBytes {
 		now, _ := seqdb.RealBytes(shard)

@@ -228,9 +228,9 @@ func MineEngine(fin core.Finalizer, kernel core.Phase2Kernel, workers int) Engin
 }
 
 // MineEngineSharded is MineEngine with Phase 3 probe scans scattered over
-// shards database shards (the structure-of-arrays scatter-gather path). The
-// mined frequent set must be identical to every other engine's: sharding is
-// purely an execution layout.
+// shards database shards (the scatter-gather path). The mined frequent set
+// must be identical to every other engine's: sharding is purely an
+// execution layout.
 func MineEngineSharded(fin core.Finalizer, kernel core.Phase2Kernel, workers, shards int) Engine {
 	base := MineEngine(fin, kernel, workers)
 	name := fmt.Sprintf("%s/shards=%d", base.Name, shards)

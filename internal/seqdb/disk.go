@@ -297,32 +297,10 @@ func (db *DiskDB) scanRange(ctx context.Context, lo, hi int, fn func(id int, seq
 		if err := ctxErr(ctx); err != nil {
 			return err
 		}
-		rr.buf = rr.buf[:0]
-		l, err := binary.ReadUvarint(rr)
-		if err != nil {
-			return corrupt(db.path, i, "truncated length", err)
-		}
-		if l == 0 || l > MaxSequenceLen {
-			return corrupt(db.path, i, fmt.Sprintf("invalid length %d", l), nil)
-		}
-		if cap(seq) < int(l) {
-			seq = make([]pattern.Symbol, l)
-		}
-		seq = seq[:l]
-		for j := range seq {
-			v, err := binary.ReadUvarint(rr)
-			if err != nil {
-				return corrupt(db.path, i, fmt.Sprintf("truncated at symbol %d", j), err)
-			}
-			seq[j] = pattern.Symbol(v)
-		}
-		if checksummed {
-			var stored [4]byte
-			if _, err := io.ReadFull(br, stored[:]); err != nil {
-				return corrupt(db.path, i, "truncated checksum", err)
-			}
-			if got, want := crc32.ChecksumIEEE(rr.buf), binary.LittleEndian.Uint32(stored[:]); got != want {
-				return corrupt(db.path, i, fmt.Sprintf("checksum mismatch (got %08x, want %08x)", got, want), nil)
+		var ok bool
+		if seq, ok = decodeBuffered(br, seq, checksummed); !ok {
+			if seq, err = db.readRecord(rr, seq, i, checksummed); err != nil {
+				return err
 			}
 		}
 		if i >= lo {
@@ -348,6 +326,98 @@ func (db *DiskDB) scanRange(ctx context.Context, lo, hi int, fn func(id int, seq
 	}
 	db.scans.Add(1)
 	return nil
+}
+
+// decodeBuffered decodes the next record straight out of br's buffer and
+// consumes it, refilling the buffer once when the record straddles its end.
+// It reports false, consuming nothing, for a record it cannot finish there —
+// one longer than the buffer, one cut short by the end of the file, or a
+// damaged one — which readRecord then re-reads byte by byte and, if it is
+// damaged, reports exactly.
+func decodeBuffered(br *bufio.Reader, seq []pattern.Symbol, checksummed bool) ([]pattern.Symbol, bool) {
+	// Peek's errors need no handling here: a read error or the end of the
+	// file leaves the record short, and readRecord meets and reports it.
+	buf, _ := br.Peek(br.Buffered())
+	seq, n := decodeRecord(buf, seq, checksummed)
+	if n == 0 && len(buf) < br.Size() {
+		buf, _ = br.Peek(br.Size())
+		seq, n = decodeRecord(buf, seq, checksummed)
+	}
+	if n == 0 {
+		return seq, false
+	}
+	_, _ = br.Discard(n) // n bytes are buffered: cannot fail
+	return seq, true
+}
+
+// decodeRecord decodes one record from the front of buf into seq and returns
+// it with the record's encoded size, or size 0 when buf does not hold a
+// complete, valid record. Symbols below 128 take the one-byte fast path;
+// the checksum covers the record's slice of buf.
+func decodeRecord(buf []byte, seq []pattern.Symbol, checksummed bool) ([]pattern.Symbol, int) {
+	l, pos := binary.Uvarint(buf)
+	if pos <= 0 || l == 0 || l > MaxSequenceLen || int(l) > len(buf)-pos {
+		return seq, 0 // every symbol takes at least one byte
+	}
+	if cap(seq) < int(l) {
+		seq = make([]pattern.Symbol, l)
+	}
+	seq = seq[:l]
+	for j := range seq {
+		if pos < len(buf) && buf[pos] < 0x80 {
+			seq[j] = pattern.Symbol(buf[pos])
+			pos++
+			continue
+		}
+		v, k := binary.Uvarint(buf[pos:])
+		if k <= 0 {
+			return seq, 0
+		}
+		seq[j] = pattern.Symbol(v)
+		pos += k
+	}
+	if checksummed {
+		if len(buf)-pos < 4 || crc32.ChecksumIEEE(buf[:pos]) != binary.LittleEndian.Uint32(buf[pos:]) {
+			return seq, 0
+		}
+		pos += 4
+	}
+	return seq, pos
+}
+
+// readRecord decodes sequence i byte by byte through rr, checksumming the
+// bytes it consumed: the path for records decodeBuffered cannot finish in
+// the buffer, and the one that names the damage.
+func (db *DiskDB) readRecord(rr *crcReader, seq []pattern.Symbol, i int, checksummed bool) ([]pattern.Symbol, error) {
+	rr.buf = rr.buf[:0]
+	l, err := binary.ReadUvarint(rr)
+	if err != nil {
+		return seq, corrupt(db.path, i, "truncated length", err)
+	}
+	if l == 0 || l > MaxSequenceLen {
+		return seq, corrupt(db.path, i, fmt.Sprintf("invalid length %d", l), nil)
+	}
+	if cap(seq) < int(l) {
+		seq = make([]pattern.Symbol, l)
+	}
+	seq = seq[:l]
+	for j := range seq {
+		v, err := binary.ReadUvarint(rr)
+		if err != nil {
+			return seq, corrupt(db.path, i, fmt.Sprintf("truncated at symbol %d", j), err)
+		}
+		seq[j] = pattern.Symbol(v)
+	}
+	if checksummed {
+		var stored [4]byte
+		if _, err := io.ReadFull(rr.br, stored[:]); err != nil {
+			return seq, corrupt(db.path, i, "truncated checksum", err)
+		}
+		if got, want := crc32.ChecksumIEEE(rr.buf), binary.LittleEndian.Uint32(stored[:]); got != want {
+			return seq, corrupt(db.path, i, fmt.Sprintf("checksum mismatch (got %08x, want %08x)", got, want), nil)
+		}
+	}
+	return seq, nil
 }
 
 // WriteFile persists an in-memory database to path in the LSQ2 format,

@@ -1,6 +1,7 @@
 package shardrpc
 
 import (
+	"context"
 	"crypto/subtle"
 	"encoding/json"
 	"errors"
@@ -104,10 +105,7 @@ func (s *Server) handleProbe(w http.ResponseWriter, r *http.Request) {
 }
 
 // probe validates one request against the node's own shard layout and runs
-// the probe kernel over the requested shard. The kernel is exactly the local
-// scatter-gather worker's (miner.ShardedMatchDBValuer): per-block sums
-// accumulated with match.SoASet in ascending id order — which is what makes
-// remote partials interchangeable with local ones.
+// the per-block probe reduction (ScanBlocks) over the requested shard.
 func (s *Server) probe(r *http.Request) (*ProbeResponse, *serverError) {
 	maxBody := s.MaxBodyBytes
 	if maxBody <= 0 {
@@ -157,38 +155,12 @@ func (s *Server) probe(r *http.Request) (*ProbeResponse, *serverError) {
 			fmt.Errorf("shard %d outside [0,%d)", req.Shard, view.NumShards())}
 	}
 
-	soa, err := match.CompileSoA(src, req.Patterns)
+	probe, err := match.CompileProbeBatch(src, req.Patterns)
 	if err != nil {
 		return nil, &serverError{http.StatusBadRequest, ReasonBadRequest, err}
 	}
 	start := time.Now()
-	batch := len(req.Patterns)
-	block := req.Block
-	resp := &ProbeResponse{Schema: ProbeSchema}
-	var seqs, symbols int64
-	shard := view.Shard(req.Shard)
-	err = seqdb.ScanPassContext(r.Context(), shard, func() (func(id int, seq []pattern.Symbol) error, error) {
-		resp.Blocks = nil
-		seqs, symbols = 0, 0
-		cur := -1
-		var flat []float64
-		return func(id int, seq []pattern.Symbol) error {
-			if b := id / block; b != cur {
-				if len(flat) < batch {
-					flat = make([]float64, batch*64)
-				}
-				resp.Blocks = append(resp.Blocks, BlockPartial{Sums: flat[:batch:batch]})
-				flat = flat[batch:]
-				cur = b
-			}
-			last := len(resp.Blocks) - 1
-			soa.Observe(resp.Blocks[last].Sums, seq)
-			resp.Blocks[last].N++
-			seqs++
-			symbols += int64(len(seq))
-			return nil
-		}, nil
-	})
+	blocks, symbols, err := ScanBlocks(r.Context(), view.Shard(req.Shard), probe, req.Block, nil)
 	if err != nil {
 		code := http.StatusInternalServerError
 		if r.Context().Err() != nil {
@@ -196,10 +168,52 @@ func (s *Server) probe(r *http.Request) (*ProbeResponse, *serverError) {
 		}
 		return nil, &serverError{code, ReasonScanFailed, err}
 	}
-	resp.Sequences = seqs
-	resp.Symbols = symbols
-	s.Metrics.ShardScan(time.Since(start), seqs, scanBytes(db))
+	resp := &ProbeResponse{Schema: ProbeSchema, Blocks: blocks, Symbols: symbols}
+	for _, b := range blocks {
+		resp.Sequences += int64(b.N)
+	}
+	s.Metrics.ShardScan(time.Since(start), resp.Sequences, scanBytes(db))
 	return resp, nil
+}
+
+// ScanBlocks is the per-block probe reduction: one pass over shard that adds
+// every delivered sequence's values (batch's probe kernel) into the partial
+// of its probe block — ids [k·block, (k+1)·block) — in ascending id order,
+// and returns the partials in ascending block order with the number of
+// symbols delivered. A retrying shard re-runs the pass from no partials.
+// The shard server and the local scatter-gather valuer
+// (miner.ShardedMatchDBValuer) both reduce through it, which is what makes
+// remote partials interchangeable with local ones. onSeq, when non-nil, is
+// called with every delivered sequence's length.
+func ScanBlocks(ctx context.Context, shard seqdb.Scanner, batch *match.ProbeBatch, block int, onSeq func(int)) ([]BlockPartial, int64, error) {
+	var blocks []BlockPartial
+	var symbols int64
+	np := batch.Len()
+	kernel := batch.NewWorker()
+	err := seqdb.ScanPassContext(ctx, shard, func() (func(id int, seq []pattern.Symbol) error, error) {
+		blocks, symbols = nil, 0
+		cur := -1
+		var flat []float64 // one backing array for many blocks' sums
+		return func(id int, seq []pattern.Symbol) error {
+			if b := id / block; b != cur {
+				if len(flat) < np {
+					flat = make([]float64, np*64)
+				}
+				blocks = append(blocks, BlockPartial{Sums: flat[:np:np]})
+				flat = flat[np:]
+				cur = b
+			}
+			last := &blocks[len(blocks)-1]
+			kernel.Add(last.Sums, seq)
+			last.N++
+			symbols += int64(len(seq))
+			if onSeq != nil {
+				onSeq(len(seq))
+			}
+			return nil
+		}, nil
+	})
+	return blocks, symbols, err
 }
 
 // scanBytes reports the request's real delivered bytes when the store

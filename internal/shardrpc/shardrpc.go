@@ -8,8 +8,8 @@
 // layout to validate against), the response the shard's per-probe-block
 // (sums, count) partials in ascending block order. Those are exactly the
 // partials the local scatter-gather valuer (miner.ShardedMatchDBValuer)
-// accumulates, computed by the same structure-of-arrays kernel over the same
-// fixed probe blocks — and Go's JSON encoding of float64 is
+// accumulates, computed by the same probe kernel (match.ProbeBatch) over
+// the same fixed probe blocks — and Go's JSON encoding of float64 is
 // shortest-round-trip, so every finite sum crosses the wire bit-exactly.
 // A coordinator that folds remote blocks in ascending global id order
 // therefore produces results bit-identical to the single-machine path, no
