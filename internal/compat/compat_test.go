@@ -310,7 +310,7 @@ func TestReadFromErrors(t *testing.T) {
 		"",
 		"bogus header",
 		"compat 0",
-		"compat 2\n1 0\n", // truncated
+		"compat 2\n1 0\n",          // truncated
 		"compat 2\n1 0 0\n0 1 1\n", // wrong field count
 		"compat 2\n1 x\n0 1\n",     // unparsable float
 		"compat 2\n0.5 0\n0.4 1\n", // invalid column sum

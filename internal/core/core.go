@@ -124,7 +124,8 @@ const (
 	// float64 sum reassociation.
 	KernelIncremental Phase2Kernel = iota
 	// KernelNaive recompiles every candidate and rescans the whole sample at
-	// each level (match.CompileSet) — the pre-kernel behavior, kept for
+	// each level with the probe kernel's in-order fold
+	// (miner.MatchSampleValuer) — no cache across levels, kept for
 	// verification and comparison benchmarks.
 	KernelNaive
 )

@@ -3,6 +3,9 @@ package core
 import (
 	"errors"
 	"math/rand"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/compat"
@@ -122,3 +125,27 @@ func (r *rowFailScanner) Scan(fn func(int, []pattern.Symbol) error) error {
 func (r *rowFailScanner) Len() int    { return r.inner.Len() }
 func (r *rowFailScanner) Scans() int  { return r.inner.Scans() }
 func (r *rowFailScanner) ResetScans() { r.inner.ResetScans() }
+
+// TestMineRejectsSymbolOutsideMatrix: a hand-built LSQ1 file holding symbol
+// 20 under an m=8 matrix decodes (the format has no alphabet), so Phase 1
+// must fail naming the sequence and the symbol instead of panicking in the
+// match kernels.
+func TestMineRejectsSymbolOutsideMatrix(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "bad.lsq")
+	raw := []byte("LSQ1\x02\x00\x00\x00\x00\x00\x00\x00" + "\x03\x01\x02\x03" + "\x02\x00\x14")
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	db, err := seqdb.OpenAuto(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := compat.UniformNoise(8, 0.1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = Mine(db, c, Config{MinMatch: 0.1, SampleSize: 2, MaxLen: 3, Rng: rand.New(rand.NewSource(1))})
+	if err == nil || !strings.Contains(err.Error(), "sequence 1") || !strings.Contains(err.Error(), "symbol 20 outside the alphabet [0, 8)") {
+		t.Fatalf("err=%v, want phase 1 to reject symbol 20 in sequence 1", err)
+	}
+}

@@ -264,6 +264,9 @@ func phase1Run(ctx context.Context, db seqdb.Scanner, c compat.Source, n int, rn
 		return func(id int, seq []pattern.Symbol) error {
 			delivered++
 			a.Observe(seq)
+			if err := a.Err(); err != nil {
+				return fmt.Errorf("sequence %d: %w", id, err)
+			}
 			s.Offer(seq)
 			return nil
 		}, nil

@@ -170,7 +170,6 @@ func Fig14(cfg Fig14Config) (*Fig14Result, error) {
 			row.LevelWiseProbed = lw.Phase3.Probed
 		}
 
-
 		disk.ResetScans()
 		start := time.Now()
 		mm, err := maxminer.Mine(w.m, miner.MatchDBValuer(disk, w.comp), minMatch,

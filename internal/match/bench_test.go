@@ -47,14 +47,12 @@ func BenchmarkCompileSetObserve(b *testing.B) {
 	c := randomDense(b, 16, 0.3, rng)
 	_, children := benchLevels(16)
 	sample := randomSample(64, 40, 60, 16, rng)
-	set, err := CompileSet(c, children)
-	if err != nil {
-		b.Fatal(err)
-	}
+	cps := compileAll(b, c, children)
+	sums := make([]float64, len(cps))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		set.Observe(sample[i%len(sample)])
+		addMatches(sums, cps, sample[i%len(sample)])
 	}
 }
 

@@ -175,78 +175,3 @@ func (cp *Compiled) appendProds(seq []pattern.Symbol, prods []float64) []float64
 	}
 	return prods
 }
-
-// CompiledSet matches a batch of patterns against sequences; it is the
-// counting kernel used by the full-database probe scans, where a memory
-// budget worth of pattern counters is evaluated in a single pass. All
-// patterns in a set share one row cache.
-type CompiledSet struct {
-	patterns []*Compiled
-	sums     []float64
-	n        int
-}
-
-// CompileSet compiles each pattern; the set accumulates per-pattern sums of
-// sequence matches.
-func CompileSet(c compat.Source, ps []pattern.Pattern) (*CompiledSet, error) {
-	rc := newRowCache(c)
-	set := &CompiledSet{
-		patterns: make([]*Compiled, len(ps)),
-		sums:     make([]float64, len(ps)),
-	}
-	for i, p := range ps {
-		cp, err := compileWith(rc, c.Size(), p)
-		if err != nil {
-			return nil, err
-		}
-		set.patterns[i] = cp
-	}
-	return set, nil
-}
-
-// Observe accumulates one sequence's match for every pattern.
-func (s *CompiledSet) Observe(seq []pattern.Symbol) {
-	for i, cp := range s.patterns {
-		s.sums[i] += cp.Match(seq)
-	}
-	s.n++
-}
-
-// ObserveInto adds one sequence's match for every pattern into sums (which
-// must have one entry per compiled pattern) instead of the set's own
-// accumulators. Streaming consumers extend previously accumulated sums with
-// this: seeding sums with the running totals and observing the new sequences
-// one by one continues the exact left-to-right addition order a from-scratch
-// in-order scan performs — summing the new chunk separately and adding it
-// afterwards would reassociate the floats.
-func (s *CompiledSet) ObserveInto(seq []pattern.Symbol, sums []float64) {
-	for i, cp := range s.patterns {
-		sums[i] += cp.Match(seq)
-	}
-}
-
-// Sums returns a copy of the raw per-pattern match sums accumulated so far.
-// Streaming consumers cache these instead of the averages Matches returns:
-// a sum extended sequence by sequence stays bit-identical to a fresh in-order
-// scan, which an average re-multiplied by n would not.
-func (s *CompiledSet) Sums() []float64 {
-	out := make([]float64, len(s.sums))
-	copy(out, s.sums)
-	return out
-}
-
-// Matches returns each pattern's database match after n observed sequences
-// (s.n is used when n <= 0).
-func (s *CompiledSet) Matches(n int) []float64 {
-	if n <= 0 {
-		n = s.n
-	}
-	out := make([]float64, len(s.sums))
-	if n == 0 {
-		return out
-	}
-	for i, v := range s.sums {
-		out[i] = v / float64(n)
-	}
-	return out
-}

@@ -353,7 +353,7 @@ type group struct {
 // from scratch when it has no block), the candidates are valued against
 // them without storing anything, and the previous spine is retired when the
 // call returns (or at setup, when the budget needs its room). The returned
-// values equal the naive sample kernel's (CompileSet/Observe/Matches) for
+// values equal the naive sample kernel's (miner.MatchSampleValuer) for
 // every candidate; see the package comment for the exact determinism
 // guarantees.
 func (inc *Incremental) ValueLevel(ps []pattern.Pattern) ([]float64, LevelStats, error) {
@@ -581,8 +581,7 @@ func (inc *Incremental) processShard(s, n int, groups []*group, builds []*prefix
 			continue
 		}
 		// Parentless candidates and kids of budget-denied parents: plain
-		// compiled matching, exactly the naive CompileSet path (best-so-far
-		// cutoff and all).
+		// compiled matching, Compiled.Match's best-so-far cutoff and all.
 		for si := lo; si < hi; si++ {
 			part[i] += cp.Match(inc.sample[si])
 		}

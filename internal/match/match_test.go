@@ -20,15 +20,17 @@ const (
 	et = pattern.Eternal
 )
 
-// fig4DB is the sequence database of the paper's Figure 4(a).
-func fig4DB() *seqdb.MemDB {
-	return seqdb.NewMemDB([][]pattern.Symbol{
+// fig4Seqs is the sequence database of the paper's Figure 4(a).
+func fig4Seqs() [][]pattern.Symbol {
+	return [][]pattern.Symbol{
 		{d1, d2, d3, d1},
 		{d4, d2, d1},
 		{d3, d4, d2, d1},
 		{d2, d2},
-	})
+	}
 }
+
+func fig4DB() *seqdb.MemDB { return seqdb.NewMemDB(fig4Seqs()) }
 
 func almost(a, b float64) bool { return math.Abs(a-b) < 1e-9 }
 
@@ -246,41 +248,79 @@ func TestCompileRejectsInvalid(t *testing.T) {
 	}
 }
 
+// compileAll compiles each pattern alone: the per-pattern reference the
+// probe kernel is pinned to.
+func compileAll(tb testing.TB, c compat.Source, ps []pattern.Pattern) []*Compiled {
+	tb.Helper()
+	cps := make([]*Compiled, len(ps))
+	for i, p := range ps {
+		var err error
+		if cps[i], err = Compile(c, p); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return cps
+}
+
+// addMatches adds seq's Compiled.Match for every pattern into sums.
+func addMatches(sums []float64, cps []*Compiled, seq []pattern.Symbol) {
+	for i, cp := range cps {
+		sums[i] += cp.Match(seq)
+	}
+}
+
+// compiledSums is the in-order reference running sum: every sequence's
+// per-pattern Compiled.Match, added in sequence order.
+func compiledSums(tb testing.TB, c compat.Source, ps []pattern.Pattern, seqs [][]pattern.Symbol) []float64 {
+	cps := compileAll(tb, c, ps)
+	sums := make([]float64, len(ps))
+	for _, seq := range seqs {
+		addMatches(sums, cps, seq)
+	}
+	return sums
+}
+
 func TestCompiledSet(t *testing.T) {
 	c := compat.Fig2()
 	ps := []pattern.Pattern{pattern.MustNew(d1, d2), pattern.MustNew(d2, d1)}
-	set, err := CompileSet(c, ps)
-	if err != nil {
-		t.Fatal(err)
+	seqs := fig4Seqs()
+	got := compiledSums(t, c, ps, seqs)
+	for i := range got {
+		got[i] /= float64(len(seqs))
 	}
-	db := fig4DB()
-	err = db.Scan(func(id int, seq []pattern.Symbol) error {
-		set.Observe(seq)
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := set.Matches(0) // use internal count
 	if !almost(got[0], 0.2025) || !almost(got[1], 0.39125) {
-		t.Errorf("CompiledSet matches: %v", got)
+		t.Errorf("compiled matches: %v", got)
 	}
-	got = set.Matches(db.Len())
-	if !almost(got[0], 0.2025) {
-		t.Errorf("explicit n: %v", got)
+	b, err := CompileProbeBatch(c, ps)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := CompileSet(c, []pattern.Pattern{{et}}); err == nil {
-		t.Error("CompileSet accepted invalid pattern")
+	folded := make([]float64, len(ps))
+	b.NewFold(folded, 1).Add(seqs)
+	for i, want := range compiledSums(t, c, ps, seqs) {
+		if folded[i] != want {
+			t.Errorf("pattern %v: fold %v != compiled %v", ps[i], folded[i], want)
+		}
+	}
+	if _, err := Compile(c, pattern.Pattern{et}); err == nil {
+		t.Error("Compile accepted invalid pattern")
+	}
+	if _, err := CompileProbeBatch(c, []pattern.Pattern{{et}}); err == nil {
+		t.Error("CompileProbeBatch accepted invalid pattern")
 	}
 }
 
 func TestCompiledSetEmpty(t *testing.T) {
-	set, err := CompileSet(compat.Fig2(), nil)
+	if got := compiledSums(t, compat.Fig2(), nil, fig4Seqs()); len(got) != 0 {
+		t.Errorf("empty set matches: %v", got)
+	}
+	b, err := CompileProbeBatch(compat.Fig2(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := set.Matches(0); len(got) != 0 {
-		t.Errorf("empty set matches: %v", got)
+	b.NewFold(nil, 2).Add(fig4Seqs())
+	if b.Len() != 0 {
+		t.Errorf("empty batch has %d patterns", b.Len())
 	}
 }
 

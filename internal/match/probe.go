@@ -1,6 +1,9 @@
 package match
 
 import (
+	"context"
+	"sync"
+
 	"repro/internal/compat"
 	"repro/internal/pattern"
 )
@@ -157,6 +160,108 @@ func (w *ProbeWorker) Add(sums []float64, seq []pattern.Symbol) {
 			for ci, i := range g.kids {
 				sums[i] += part[ci]
 			}
+		}
+	}
+}
+
+// A fold block holds at most foldBlock sequences and about foldRowBytes of
+// value rows (a float64 per pattern per sequence), so a 600-candidate sample
+// batch folds about 109 sequences a block and does not grow the heap.
+const (
+	foldBlock    = 256
+	foldRowBytes = 512 << 10
+)
+
+// Fold adds a ProbeBatch's per-sequence values into running sums in the
+// order the sequences are given. Each block's sequences are split across the
+// workers by sequence into per-sequence value rows, and the rows are then
+// added into the sums in ascending order: one addition per pattern per
+// sequence, exactly a sequential in-order scan's (DB, or a per-pattern
+// Compiled.Match loop), for every worker count. Sums seeded with earlier
+// totals are extended as if that scan had never stopped. Not safe for
+// concurrent use.
+type Fold struct {
+	sums    []float64
+	workers []*ProbeWorker
+	block   int
+	vals    []float64          // block × Len() value rows
+	arena   []pattern.Symbol   // Push's copies, back to back
+	ends    []int              // where each buffered sequence ends in arena
+	views   [][]pattern.Symbol // the buffered sequences, cut from arena
+}
+
+// NewFold returns a fold of b's values into sums (len(sums) must be Len())
+// on workers goroutines (below 1 means 1).
+func (b *ProbeBatch) NewFold(sums []float64, workers int) *Fold {
+	workers = max(workers, 1)
+	block := max(min(foldBlock, foldRowBytes/(8*max(b.n, 1))), workers)
+	f := &Fold{sums: sums, workers: make([]*ProbeWorker, workers), block: block, vals: make([]float64, block*b.n)}
+	for i := range f.workers {
+		f.workers[i] = b.NewWorker()
+	}
+	return f
+}
+
+// Add folds in-memory sequences, which must not change until Add returns.
+func (f *Fold) Add(seqs [][]pattern.Symbol) {
+	for len(seqs) > 0 {
+		n := min(len(seqs), f.block)
+		f.fold(seqs[:n])
+		seqs = seqs[n:]
+	}
+}
+
+// Push copies seq — a scanner may reuse its delivery buffer — and folds the
+// buffered block once it is full, checking cancellation first.
+func (f *Fold) Push(ctx context.Context, seq []pattern.Symbol) error {
+	f.arena = append(f.arena, seq...)
+	f.ends = append(f.ends, len(f.arena))
+	if len(f.ends) < f.block {
+		return nil
+	}
+	return f.Flush(ctx)
+}
+
+// Flush folds the sequences Push has buffered (a final partial block).
+func (f *Fold) Flush(ctx context.Context) error {
+	if len(f.ends) == 0 {
+		return nil
+	}
+	if ctx != nil && ctx.Err() != nil {
+		return ctx.Err()
+	}
+	// Views are cut only now: appends may have regrown the arena mid-block.
+	f.views = f.views[:0]
+	lo := 0
+	for _, hi := range f.ends {
+		f.views, lo = append(f.views, f.arena[lo:hi:hi]), hi
+	}
+	f.fold(f.views)
+	f.arena, f.ends = f.arena[:0], f.ends[:0]
+	return nil
+}
+
+// fold values one block into per-sequence rows, split across the workers,
+// and adds the rows into the sums in sequence order.
+func (f *Fold) fold(seqs [][]pattern.Symbol) {
+	sums, vals := f.sums, f.vals
+	np, n := len(sums), len(seqs)
+	w := min(len(f.workers), n)
+	var wg sync.WaitGroup
+	wg.Add(w)
+	for i := 0; i < w; i++ {
+		go func(k *ProbeWorker, lo, hi int) {
+			defer wg.Done()
+			clear(vals[lo*np : hi*np])
+			for s := lo; s < hi; s++ {
+				k.Add(vals[s*np:(s+1)*np], seqs[s])
+			}
+		}(f.workers[i], n*i/w, n*(i+1)/w)
+	}
+	wg.Wait()
+	for s := 0; s < n; s++ {
+		for i, v := range vals[s*np : (s+1)*np] {
+			sums[i] += v
 		}
 	}
 }

@@ -34,14 +34,12 @@ var (
 
 func benchProbeCompiledSet(b *testing.B, keys []string) {
 	c, ps, seqs := probeBench(b, keys)
-	cs, err := CompileSet(c, ps)
-	if err != nil {
-		b.Fatal(err)
-	}
+	cps := compileAll(b, c, ps)
+	sums := make([]float64, len(ps))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, seq := range seqs {
-			cs.Observe(seq)
+			addMatches(sums, cps, seq)
 		}
 	}
 }

@@ -174,3 +174,99 @@ func TestProbeBatchRunningSumEqualsDB(t *testing.T) {
 		}
 	}
 }
+
+// TestFoldEqualsInOrderReference: a Fold seeded with running totals must
+// extend them to exactly (==) the per-pattern Compiled.Match sums added in
+// sequence order, for every worker count, over several blocks, through Add
+// (in-memory sequences) and through Push from a delivery buffer that is
+// overwritten after every call.
+func TestFoldEqualsInOrderReference(t *testing.T) {
+	rng := testutil.Rng(t)
+	for iter := 0; iter < 12; iter++ {
+		m := 3 + rng.Intn(10)
+		var c compat.Source
+		switch iter % 4 {
+		case 0:
+			c = randomDense(t, m, 0, rng)
+		case 1:
+			c = randomDense(t, m, 0.4, rng)
+		case 2:
+			c = negZeroDense(t, m, 0.4, rng)
+		default:
+			c = randomSparse(t, m)
+		}
+		seqs := randomSample(300+rng.Intn(300), 1, 14, m, rng)
+		ps := probeTestBatch(rng, m, 1+rng.Intn(3))
+		if iter%3 == 0 {
+			// Wide enough that the value rows, not the sequence cap, size
+			// the block.
+			for len(ps) < 400 {
+				ps = append(ps, probeTestBatch(rng, m, 2)...)
+			}
+		}
+		seed := make([]float64, len(ps))
+		for i := range seed {
+			seed[i] = rng.Float64() * 50
+		}
+		want := append([]float64(nil), seed...)
+		cps := compileAll(t, c, ps)
+		for _, seq := range seqs {
+			addMatches(want, cps, seq)
+		}
+		b, err := CompileProbeBatch(c, ps)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check := func(how string, workers int, got []float64) {
+			t.Helper()
+			for i := range ps {
+				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("iter %d %s workers %d pattern %v: fold %v, in-order %v", iter, how, workers, ps[i], got[i], want[i])
+				}
+			}
+		}
+		for workers := 1; workers <= 4; workers++ {
+			got := append([]float64(nil), seed...)
+			b.NewFold(got, workers).Add(seqs)
+			check("Add", workers, got)
+
+			got = append([]float64(nil), seed...)
+			fold := b.NewFold(got, workers)
+			var buf []pattern.Symbol
+			for _, seq := range seqs {
+				buf = append(buf[:0], seq...)
+				if err := fold.Push(nil, buf); err != nil {
+					t.Fatal(err)
+				}
+				for j := range buf {
+					buf[j] = pattern.Symbol(rng.Intn(m))
+				}
+			}
+			if err := fold.Flush(nil); err != nil {
+				t.Fatal(err)
+			}
+			check("Push", workers, got)
+		}
+	}
+}
+
+// TestFoldBlockBounds: a fold block holds at most 256 sequences and about
+// 512 KiB of value rows, and never fewer sequences than workers.
+func TestFoldBlockBounds(t *testing.T) {
+	c := randomMatrix(rand.New(rand.NewSource(5)), 6)
+	for _, tc := range []struct{ n, workers, block int }{
+		{0, 1, 256}, {12, 2, 256}, {256, 2, 256}, {600, 2, 109}, {100000, 1, 1}, {100000, 3, 3},
+	} {
+		ps := make([]pattern.Pattern, tc.n)
+		for i := range ps {
+			ps[i] = pattern.Pattern{pattern.Symbol(i % 6)}
+		}
+		b, err := CompileProbeBatch(c, ps)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := b.NewFold(make([]float64, tc.n), tc.workers).block; got != tc.block {
+			t.Errorf("%d patterns on %d workers: block %d, want %d", tc.n, tc.workers, got, tc.block)
+		}
+	}
+}

@@ -24,6 +24,7 @@ type SymbolAccumulator struct {
 	touched  []pattern.Symbol // symbols with non-zero maxm this sequence
 	seenObs  []bool           // observed symbols already processed this sequence
 	seenList []pattern.Symbol // to reset seenObs cheaply
+	err      error            // names the first observed symbol outside [0, m)
 }
 
 // NewSymbolAccumulator builds an accumulator over c.
@@ -37,13 +38,23 @@ func NewSymbolAccumulator(c compat.Source) *SymbolAccumulator {
 	}
 }
 
-// Observe processes one sequence (lines 5–11 of Algorithm 4.1).
+// Observe processes one sequence (lines 5–11 of Algorithm 4.1). A symbol
+// outside the alphabet [0, m) is skipped, and the first one is reported by
+// Err.
 func (a *SymbolAccumulator) Observe(seq []pattern.Symbol) {
+	seen := a.seenObs
 	for _, obs := range seq {
-		if a.seenObs[obs] {
+		o := int(obs)
+		if uint(o) >= uint(len(seen)) {
+			if a.err == nil {
+				a.err = fmt.Errorf("match: symbol %d outside the alphabet [0, %d)", obs, len(seen))
+			}
+			continue
+		}
+		if seen[o] {
 			continue // first-occurrence optimization
 		}
-		a.seenObs[obs] = true
+		seen[o] = true
 		a.seenList = append(a.seenList, obs)
 		for _, e := range a.c.TrueGiven(obs) {
 			if e.P > a.maxm[e.Sym] {
@@ -64,6 +75,10 @@ func (a *SymbolAccumulator) Observe(seq []pattern.Symbol) {
 	}
 	a.seenList = a.seenList[:0]
 }
+
+// Err reports the first observed symbol outside the alphabet, or nil. The
+// sums skip such symbols, so a caller must not use them once Err is non-nil.
+func (a *SymbolAccumulator) Err() error { return a.err }
 
 // Matches returns match[d] for every symbol given the number of observed
 // sequences n (Definition 3.7's division by N).
@@ -103,6 +118,9 @@ func Symbols(db seqdb.Scanner, c compat.Source) ([]float64, error) {
 	acc := NewSymbolAccumulator(c)
 	err := db.Scan(func(id int, seq []pattern.Symbol) error {
 		acc.Observe(seq)
+		if err := acc.Err(); err != nil {
+			return fmt.Errorf("sequence %d: %w", id, err)
+		}
 		return nil
 	})
 	if err != nil {

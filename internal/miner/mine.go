@@ -23,18 +23,29 @@ func SampleValuer(meas match.Measure, sample [][]pattern.Symbol) Valuer {
 }
 
 // MatchSampleValuer evaluates candidates against an in-memory sample under
-// the match measure using compiled matchers (the fast path for Phase 2).
+// the match measure on one worker: the probe kernel's in-order fold over the
+// sample, then a division by its size (the naive Phase 2 kernel).
 func MatchSampleValuer(c compat.Source, sample [][]pattern.Symbol) Valuer {
 	return func(ps []pattern.Pattern) ([]float64, error) {
-		set, err := match.CompileSet(c, ps)
+		batch, err := match.CompileProbeBatch(c, ps)
 		if err != nil {
 			return nil, err
 		}
-		for _, seq := range sample {
-			set.Observe(seq)
-		}
-		return set.Matches(len(sample)), nil
+		sums := make([]float64, len(ps))
+		batch.NewFold(sums, 1).Add(sample)
+		return average(sums, len(sample)), nil
 	}
+}
+
+// average divides each sum by the n sequences behind it, in place; with no
+// sequences the (zero) sums are returned as they are.
+func average(sums []float64, n int) []float64 {
+	if n > 0 {
+		for i := range sums {
+			sums[i] /= float64(n)
+		}
+	}
+	return sums
 }
 
 // DBValuer evaluates candidates with one full database scan per call.
@@ -69,12 +80,7 @@ func DBValuerContext(ctx context.Context, db seqdb.Scanner, meas match.Measure) 
 		if err != nil {
 			return nil, err
 		}
-		if delivered > 0 {
-			for i := range sums {
-				sums[i] /= float64(delivered)
-			}
-		}
-		return sums, nil
+		return average(sums, delivered), nil
 	}
 }
 

@@ -134,12 +134,7 @@ func foldBlocks(np int, shards [][]shardrpc.BlockPartial) ([]float64, int, error
 			n += b.N
 		}
 	}
-	if n > 0 {
-		for i := range sums {
-			sums[i] /= float64(n)
-		}
-	}
-	return sums, n, nil
+	return average(sums, n), n, nil
 }
 
 // scanShard runs one shard's probe pass through the per-block reduction

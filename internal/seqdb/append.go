@@ -219,6 +219,9 @@ func readAppendRecord(rr *crcReader, br *bufio.Reader, seq *[]pattern.Symbol) (i
 		if err != nil {
 			return 0, err
 		}
+		if v > maxSymbol {
+			return 0, fmt.Errorf("%w: %s", errBadRecord, badSymbol(int(j), v))
+		}
 		if seq != nil {
 			*seq = append(*seq, pattern.Symbol(v))
 		}
@@ -263,8 +266,8 @@ func (db *AppendDB) Append(seq []pattern.Symbol) (int, error) {
 	}
 	db.enc = binary.AppendUvarint(db.enc[:0], uint64(len(seq)))
 	for _, d := range seq {
-		if d.IsEternal() {
-			return 0, fmt.Errorf("seqdb: sequence contains the eternal symbol")
+		if d < 0 {
+			return 0, fmt.Errorf("seqdb: sequence contains symbol %d (data symbols are non-negative)", d)
 		}
 		db.enc = binary.AppendUvarint(db.enc, uint64(d))
 	}

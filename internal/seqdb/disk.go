@@ -112,8 +112,8 @@ func (w *Writer) Write(seq []pattern.Symbol) error {
 	}
 	w.enc = binary.AppendUvarint(w.enc[:0], uint64(len(seq)))
 	for _, d := range seq {
-		if d.IsEternal() {
-			return fmt.Errorf("seqdb: sequence contains the eternal symbol")
+		if d < 0 {
+			return fmt.Errorf("seqdb: sequence contains symbol %d (data symbols are non-negative)", d)
 		}
 		w.enc = binary.AppendUvarint(w.enc, uint64(d))
 	}
@@ -370,7 +370,7 @@ func decodeRecord(buf []byte, seq []pattern.Symbol, checksummed bool) ([]pattern
 			continue
 		}
 		v, k := binary.Uvarint(buf[pos:])
-		if k <= 0 {
+		if k <= 0 || v > maxSymbol {
 			return seq, 0
 		}
 		seq[j] = pattern.Symbol(v)
@@ -405,6 +405,9 @@ func (db *DiskDB) readRecord(rr *crcReader, seq []pattern.Symbol, i int, checksu
 		v, err := binary.ReadUvarint(rr)
 		if err != nil {
 			return seq, corrupt(db.path, i, fmt.Sprintf("truncated at symbol %d", j), err)
+		}
+		if v > maxSymbol {
+			return seq, corrupt(db.path, i, badSymbol(j, v), nil)
 		}
 		seq[j] = pattern.Symbol(v)
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"syscall"
 )
 
@@ -54,6 +55,16 @@ func IsTransient(err error) bool {
 		}
 	}
 	return false
+}
+
+// maxSymbol is the largest symbol a record may carry (pattern.Symbol is an
+// int32): a decoder rejects a larger varint as corrupt rather than letting
+// it wrap negative.
+const maxSymbol = math.MaxInt32
+
+// badSymbol describes a symbol varint above maxSymbol at position j.
+func badSymbol(j int, v uint64) string {
+	return fmt.Sprintf("symbol %d at position %d exceeds %d", v, j, maxSymbol)
 }
 
 // CorruptError reports on-disk damage detected during a scan: a checksum

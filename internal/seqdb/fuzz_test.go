@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"slices"
@@ -65,6 +66,11 @@ func FuzzDiskScan(f *testing.F) {
 	// A gzip container whose deflate body is cut short.
 	f.Add(rawGzip[:len(rawGzip)-6])
 
+	// A symbol varint above math.MaxInt32, in an LSQ1 and a checksummed
+	// LSQ2 record.
+	huge := []uint64{1, math.MaxInt32 + 1}
+	f.Add(append([]byte("LSQ1\x01\x00\x00\x00\x00\x00\x00\x00"), rawRecord(huge, false)...))
+	f.Add(append(append([]byte("LSQ2\x01\x00\x00\x00\x00\x00\x00\x00"), rawRecord(huge, true)...), diskTrailer[:]...))
 	f.Add([]byte("LSQ1garbage"))
 	f.Add([]byte("LSQ2garbage"))
 	f.Add([]byte("LSQZgarbage"))
@@ -148,6 +154,9 @@ func referenceScan(data []byte) ([][]pattern.Symbol, *CorruptError) {
 			v, err := binary.ReadUvarint(r)
 			if err != nil {
 				return out, fail(i, fmt.Sprintf("truncated at symbol %d", j), err)
+			}
+			if v > math.MaxInt32 {
+				return out, fail(i, fmt.Sprintf("symbol %d at position %d exceeds %d", v, j, math.MaxInt32), nil)
 			}
 			seq = append(seq, pattern.Symbol(v))
 		}

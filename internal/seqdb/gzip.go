@@ -68,8 +68,8 @@ func (w *GzipWriter) Write(seq []pattern.Symbol) error {
 		return fmt.Errorf("seqdb: write: %w", err)
 	}
 	for _, d := range seq {
-		if d.IsEternal() {
-			return fmt.Errorf("seqdb: sequence contains the eternal symbol")
+		if d < 0 {
+			return fmt.Errorf("seqdb: sequence contains symbol %d (data symbols are non-negative)", d)
 		}
 		k = binary.PutUvarint(w.buf, uint64(d))
 		if _, err := w.bw.Write(w.buf[:k]); err != nil {
@@ -202,6 +202,9 @@ func (db *GzipDB) ScanContext(ctx context.Context, fn func(id int, seq []pattern
 			v, err := binary.ReadUvarint(br)
 			if err != nil {
 				return corrupt(db.path, i, fmt.Sprintf("truncated at symbol %d", j), err)
+			}
+			if v > maxSymbol {
+				return corrupt(db.path, i, badSymbol(j, v), nil)
 			}
 			seq[j] = pattern.Symbol(v)
 		}

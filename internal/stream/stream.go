@@ -10,27 +10,30 @@
 //     stateless — each offer's draw is derived from (Seed, window-relative
 //     index) alone — so a restored or rebuilt stream reproduces the exact
 //     sample the uninterrupted stream holds, with no RNG replay.
-//   - Phase 2: per-pattern sample match sums for every candidate the last
-//     mine evaluated are extended sequence by sequence, in sample order, so
-//     they stay bit-identical to a fresh in-order scan of the sample. On each
-//     batch the unclamped Chernoff labels are recomputed from the maintained
-//     sums; only when some label changes (a border shift), the sample was
-//     perturbed by a reservoir replacement, or the candidate space was
-//     truncated does the stream fall back to a scoped re-mine of the
-//     in-memory sample — no database scan either way.
-//   - Phase 3: exact database match sums of previously probed patterns are
-//     extended with each appended sequence, so a pattern probed in an earlier
-//     batch is re-probed for free — its Chernoff interval is resolved from
-//     the cached sum without a scan. Only never-probed patterns cost a pass
-//     over the live window. Probe order never changes the final frequent set
-//     (exact values plus anti-monotone Apriori propagation), so serving
-//     cached probes first is purely an execution layout.
+//   - Phase 2: every candidate the last mine evaluated keeps its sample match
+//     sum. On each batch the unclamped Chernoff labels are recomputed from
+//     those sums; only when some label changes (a border shift), a reservoir
+//     replacement perturbed the sample, or the candidate space was truncated
+//     does the stream re-mine the in-memory sample — no database scan either
+//     way.
+//   - Phase 3: previously probed patterns keep their exact window match sums,
+//     so a pattern probed in an earlier batch is resolved without a scan.
+//     Only never-probed patterns cost a pass over the live window. Probe
+//     order never changes the final frequent set (exact values plus
+//     anti-monotone Apriori propagation), so serving cached probes first is
+//     purely an execution layout.
+//
+// Every maintained sum — the re-anchor over the whole sample after a
+// re-mine, the per-batch extension of sample and exact sums, and the window
+// pass for new probes — is kept with the probe kernel's in-order fold
+// (match.Fold) on Workers goroutines: one addition per sequence, in sample
+// or arrival order, so the sums are bit-identical to a fresh in-order scan
+// for every worker count.
 //
 // Sliding-window expiry (Config.Window, or an external ExpireBefore on the
-// log) moves the window start; the stream detects the shift and rebuilds its
-// Phase 1 state from the live window. Because reservoir draws are keyed by
-// window-relative index, the rebuilt state is identical to a fresh stream
-// over a database holding only the live window.
+// log) moves the window start; the stream then rebuilds its Phase 1 state
+// from the live window, identical to a fresh stream over a log holding only
+// the live window.
 //
 // Equivalence: with SampleSize >= the window size and the naive Phase 2
 // kernel, every Advance yields results bit-identical to core.Mine over the
@@ -42,7 +45,9 @@ package stream
 import (
 	"context"
 	"fmt"
+	"maps"
 	"math/rand"
+	"runtime"
 	"sort"
 
 	"repro/internal/border"
@@ -92,8 +97,9 @@ type Config struct {
 	// MemBudget is the number of pattern counters a probe round may hold.
 	// Default 10000.
 	MemBudget int
-	// Workers shards the re-mine's incremental kernel (0/1 sequential,
-	// negative = GOMAXPROCS).
+	// Workers shards the re-mine's incremental kernel and the in-order fold
+	// that keeps the sample and exact sums (0/1 sequential, negative =
+	// GOMAXPROCS).
 	Workers int
 	// Kernel selects the re-mine kernel. Default KernelIncremental.
 	Kernel Kernel
@@ -119,6 +125,9 @@ func (c *Config) setDefaults() {
 	}
 	if c.MemBudget == 0 {
 		c.MemBudget = 10000
+	}
+	if c.Workers < 0 {
+		c.Workers = runtime.GOMAXPROCS(0)
 	}
 }
 
@@ -283,7 +292,7 @@ func Restore(db *seqdb.AppendDB, cfg Config, st *State, mine *miner.Result) (*St
 		return nil, fmt.Errorf("stream: inconsistent state (cursor %d, window start %d, %d symbol sums)",
 			st.Cursor, st.WindowStart, len(st.SymbolSums))
 	}
-	if want := minInt(cfg.SampleSize, st.Cursor-st.WindowStart); len(st.Sample) != want {
+	if want := min(cfg.SampleSize, st.Cursor-st.WindowStart); len(st.Sample) != want {
 		return nil, fmt.Errorf("stream: state carries %d sample sequences, want %d", len(st.Sample), want)
 	}
 	s.cursor, s.windowStart = st.Cursor, st.WindowStart
@@ -380,7 +389,7 @@ func (s *Stream) Advance(ctx context.Context) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		if !sameLabels(raw, s.prevRaw) {
+		if !maps.Equal(raw, s.prevRaw) {
 			res.BorderShifted = true
 			need = true
 		}
@@ -442,7 +451,9 @@ func (s *Stream) ingest(ctx context.Context, res *Result) error {
 		s.dirty = true
 		delivered := 0
 		err := s.db.ScanContext(ctx, func(id int, seq []pattern.Symbol) error {
-			s.acc.Observe(seq)
+			if err := s.observe(s.windowStart+id, seq); err != nil {
+				return err
+			}
 			s.offer(id, seq)
 			delivered++
 			return nil
@@ -459,7 +470,9 @@ func (s *Stream) ingest(ctx context.Context, res *Result) error {
 
 	var appended [][]pattern.Symbol
 	cursor, err := s.db.ScanSince(ctx, s.cursor, func(abs int, seq []pattern.Symbol) error {
-		s.acc.Observe(seq)
+		if err := s.observe(abs, seq); err != nil {
+			return err
+		}
 		s.offer(abs-s.windowStart, seq)
 		appended = append(appended, append([]pattern.Symbol(nil), seq...))
 		return nil
@@ -488,6 +501,16 @@ func (s *Stream) ingest(ctx context.Context, res *Result) error {
 	return nil
 }
 
+// observe adds sequence abs to the Phase 1 sums. A symbol outside the
+// alphabet fails the batch before the sequence reaches the sample.
+func (s *Stream) observe(abs int, seq []pattern.Symbol) error {
+	s.acc.Observe(seq)
+	if err := s.acc.Err(); err != nil {
+		return fmt.Errorf("stream: sequence %d: %w", abs, err)
+	}
+	return nil
+}
+
 // offer presents the sequence with window-relative index rel to the
 // reservoir (Algorithm R with stateless per-index draws).
 func (s *Stream) offer(rel int, seq []pattern.Symbol) {
@@ -510,13 +533,14 @@ func drawIndex(seed int64, rel int) int {
 	return rng.Intn(rel + 1)
 }
 
-// extendSums scores seqs against ps (key-sorted) and extends each pattern's
-// running sum. The running totals are loaded first and each sequence's match
-// is added in arrival order, continuing the exact left-to-right addition a
-// from-scratch in-order scan performs (adding a separately-summed chunk
-// would reassociate the floats and drift from the batch pipeline by ulps).
+// extendSums extends each pattern's running sum by its matches against seqs
+// with the in-order fold: the totals are loaded first and every sequence's
+// match is added in seqs' order, continuing the exact additions a fresh
+// in-order scan performs (adding a separately summed chunk would
+// reassociate the floats). It re-anchors the sample sums after a re-mine and
+// extends the sample and exact sums every batch.
 func (s *Stream) extendSums(sums map[string]float64, ps []pattern.Pattern, seqs [][]pattern.Symbol) error {
-	set, err := match.CompileSet(s.cfg.C, ps)
+	batch, err := match.CompileProbeBatch(s.cfg.C, ps)
 	if err != nil {
 		return err
 	}
@@ -524,9 +548,7 @@ func (s *Stream) extendSums(sums map[string]float64, ps []pattern.Pattern, seqs 
 	for i, p := range ps {
 		buf[i] = sums[p.Key()]
 	}
-	for _, seq := range seqs {
-		set.ObserveInto(seq, buf)
-	}
+	batch.NewFold(buf, s.cfg.Workers).Add(seqs)
 	for i, p := range ps {
 		sums[p.Key()] = buf[i]
 	}
@@ -558,18 +580,6 @@ func (s *Stream) rawLabels() (map[string]chernoff.Label, error) {
 		out[key] = cls.Classify(s.sampleSums[key]/n, chernoff.RestrictedSpread(p, s.symbolMatch))
 	}
 	return out, nil
-}
-
-func sameLabels(a, b map[string]chernoff.Label) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for k, v := range a {
-		if b[k] != v {
-			return false
-		}
-	}
-	return true
 }
 
 // remine reruns the sample classification (Phase 2) over the maintained
@@ -638,7 +648,8 @@ func (s *Stream) refreshMine() {
 
 // hybridProbe is the Phase 3 valuer: patterns with cached exact sums are
 // resolved without touching the database; the rest are counted in one pass
-// over the consumed window and their sums cached for every later batch.
+// over the consumed window, through the in-order fold on the stream's
+// workers, and their sums cached for every later batch.
 func (s *Stream) hybridProbe(ctx context.Context, res *Result, scans *int) miner.Valuer {
 	return func(ps []pattern.Pattern) ([]float64, error) {
 		n := float64(s.cursor - s.windowStart)
@@ -657,21 +668,25 @@ func (s *Stream) hybridProbe(ctx context.Context, res *Result, scans *int) miner
 		if len(miss) == 0 {
 			return out, nil
 		}
-		set, err := match.CompileSet(s.cfg.C, miss)
+		batch, err := match.CompileProbeBatch(s.cfg.C, miss)
 		if err != nil {
 			return nil, err
 		}
+		sums := make([]float64, len(miss))
+		fold := batch.NewFold(sums, s.cfg.Workers)
 		// Scan exactly the consumed prefix [windowStart, cursor): sequences
-		// appended after ingest belong to the next batch.
-		err = s.db.ScanRangeContext(ctx, 0, s.cursor-s.windowStart, func(id int, seq []pattern.Symbol) error {
-			set.Observe(seq)
-			return nil
+		// appended after ingest belong to the next batch. Push copies each
+		// delivered sequence, because the log reuses its buffer.
+		err = s.db.ScanRangeContext(ctx, 0, s.cursor-s.windowStart, func(_ int, seq []pattern.Symbol) error {
+			return fold.Push(ctx, seq)
 		})
+		if err == nil {
+			err = fold.Flush(ctx)
+		}
 		if err != nil {
 			return nil, err
 		}
 		*scans++
-		sums := set.Sums()
 		for j, i := range missIdx {
 			key := miss[j].Key()
 			s.exactSums[key] = sums[j]
@@ -705,11 +720,4 @@ func (s *Stream) pickCachedFirst(pending *pattern.Set, budget int) []pattern.Pat
 
 func sortPatterns(ps []pattern.Pattern) {
 	sort.Slice(ps, func(a, b int) bool { return ps[a].Key() < ps[b].Key() })
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
